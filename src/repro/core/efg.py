@@ -16,11 +16,16 @@ are scattered with at most ``max(l)`` masked passes, upper-bit stop
 positions (``(x >> l) + i``) and forward-pointer values (``x >> l`` at
 anchor elements) come straight from arithmetic — no bit scanning.
 
-``decode_lists`` is the whole-batch equivalent of the multi-list
-thread-block kernel (Fig. 7): popcount -> segmented scans ->
-``binsearch_maxle`` -> ``select1_byte`` LUT, across every byte of every
-requested list in one shot.  The literal per-block kernel lives in
-:mod:`repro.core.kernels`; tests assert both produce identical output.
+``decode_lists`` computes what the multi-list thread-block kernel
+(Fig. 7) computes, for a whole batch at once, in a few NumPy passes:
+``np.unpackbits`` + ``np.flatnonzero`` over every upper byte of every
+requested list yields all select positions in one O(bits) pass, and
+each value's lower bits are one gather from an unaligned 64-bit view of
+the payload (:func:`repro.ef.bitstream.extract_fields`).  The literal
+per-block kernel (popcount -> segmented scans -> ``binsearch_maxle`` ->
+``select1_byte`` LUT) lives in :mod:`repro.core.kernels`; tests assert
+both produce identical output.  The cost model charges the kernel, not
+this host path.
 """
 
 from __future__ import annotations
@@ -34,9 +39,7 @@ from repro.ef.bitstream import extract_fields
 from repro.ef.forward import DEFAULT_QUANTUM
 from repro.formats.graph import Graph
 from repro.formats.integrity import arrays_crc32
-from repro.primitives.bitops import POPCOUNT_TABLE_I64, SELECT_IN_BYTE_TABLE_I64
 from repro.primitives.scan import exclusive_scan
-from repro.primitives.search import binsearch_maxle
 
 __all__ = [
     "EFGraph",
@@ -499,9 +502,14 @@ def decode_lists(
     """Decode the full neighbour lists of a batch of vertices.
 
     The whole-batch form of the multi-list kernel (Fig. 7): all upper
-    bytes of all requested lists are gathered into one window; popcount,
-    scans, ``binsearch_maxle`` and the ``select1_byte`` LUT then decode
-    every value in parallel.
+    bytes of all requested lists are gathered into one window, whose
+    unpacked bits give every stop-bit position (``select1``) in one
+    pass; a value's upper half is its stop bit's offset within its list
+    minus its rank.  The lower halves, of per-list width ``l``, are one
+    unaligned 64-bit gather, shift and mask per value.  The literal
+    block-by-block kernel,
+    :func:`repro.core.kernels.decompress_multiple_lists`, gives
+    identical output.
 
     Returns
     -------
@@ -509,6 +517,14 @@ def decode_lists(
         ``values`` — concatenated decoded neighbour ids;
         ``segment_ids`` — for each value, the index *into ``vertices``*
         of the list it belongs to.
+
+    Raises
+    ------
+    CorruptMetadataError
+        The batch's metadata fails :func:`check_decode_batch`.
+    CorruptStreamError
+        The window's stop-bit count differs from the degrees, or a stop
+        bit lies in a list other than its value's.
     """
     vertices = np.asarray(vertices, dtype=np.int64)
     check_decode_batch(efg, vertices)
@@ -517,60 +533,44 @@ def decode_lists(
     if total_vals == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
 
-    # Gather every upper byte of every list (threads <- bytes, Fig. 7 step 1).
+    # Gather every upper byte of every list into one window.
     up_start = efg.upper_start_byte(vertices)
     up_len = efg.upper_nbytes(vertices)
     byte_idx, byte_seg = csr_gather_indices(up_start, up_len)
     window = efg.data[byte_idx]
 
-    # popcount + block-wide exclusive scan (steps 2-3).
-    popc = POPCOUNT_TABLE_I64[window]
-    exsum, total_pop = exclusive_scan(popc)
+    # Every stop bit's window position in one O(bits) pass; the k-th
+    # stop bit is select1(k) over the concatenated upper sections.
+    stops = np.flatnonzero(np.unpackbits(window, bitorder="little").view(bool))
+    total_pop = stops.shape[0]
     if total_pop != total_vals:
         raise CorruptStreamError(
             f"{total_pop} stop bits for {total_vals} values", fmt="efg"
         )
 
-    # Each value's global rank -> target byte via binsearch (steps 4-5).
+    # Every list contributes exactly its degree in stop bits, so the
+    # k-th stop bit belongs to local value i of segment s with
+    # k = ex_deg[s] + i.
     ex_deg, _ = exclusive_scan(degrees)
     val_seg = np.repeat(np.arange(vertices.shape[0], dtype=np.int64), degrees)
     local_rank = np.arange(total_vals, dtype=np.int64) - ex_deg[val_seg]
-    # Popcounts accumulate across list boundaries in `exsum`; since every
-    # list contributes exactly its degree in stop bits, the global rank of
-    # local value i of segment s is ex_deg[s] + i — the same arithmetic
-    # the segmented scan performs per block in the kernel.
-    global_rank = ex_deg[val_seg] + local_rank
-    target_byte = binsearch_maxle(exsum, global_rank)
-    in_byte_rank = global_rank - exsum[target_byte]
-    in_byte_pos = SELECT_IN_BYTE_TABLE_I64[window[target_byte], in_byte_rank]
 
-    # Bits preceding the target byte *within its own list* (steps 6-8).
+    # Bits preceding each stop bit *within the list owning its byte*;
+    # upper half = select1(i) - i.
     up_start_ex, _ = exclusive_scan(up_len)
-    bytes_before = target_byte - up_start_ex[byte_seg[target_byte]]
-    select_in_list = bytes_before * 8 + in_byte_pos
-
-    # upper half = select1(i) - i; combine with lower half (step 9).
-    upper_half = select_in_list - local_rank
+    upper_half = stops - 8 * up_start_ex[byte_seg[stops >> 3]] - local_rank
     if int(upper_half.min()) < 0:
         # Total stop bits matched but migrated across a list boundary.
         raise CorruptStreamError(
             "select position precedes element rank (stop bits misplaced)",
             fmt="efg",
         )
-    l_per_val = efg.num_lower_bits[vertices][val_seg].astype(np.int64)
-    low_base_bit = efg.lower_start_byte(vertices) * 8
-    low_pos = low_base_bit[val_seg] + local_rank * l_per_val
 
+    l = efg.num_lower_bits[vertices]
+    if not l.any():
+        return upper_half, val_seg
+    l_per_val = l.astype(np.int64)[val_seg]
+    low_pos = (efg.lower_start_byte(vertices) * 8)[val_seg] + local_rank * l_per_val
     values = upper_half << l_per_val
-    has_low = l_per_val > 0
-    if has_low.any():
-        # extract_fields needs one width; group by width (few distinct).
-        widths = np.unique(l_per_val[has_low])
-        lows = np.zeros(total_vals, dtype=np.int64)
-        for w in widths:
-            sel = l_per_val == w
-            lows[sel] = extract_fields(efg.data, low_pos[sel], int(w)).astype(
-                np.int64
-            )
-        values |= lows
+    values |= extract_fields(efg.data, low_pos, l_per_val).view(np.int64)
     return values, val_seg

@@ -170,35 +170,90 @@ def unpack_bits(data: np.ndarray, width: int, count: int, start_bit: int = 0) ->
     return extract_fields(data, positions, width)
 
 
-def extract_fields(data: np.ndarray, bit_positions: np.ndarray, width: int) -> np.ndarray:
+#: ``_FIELD_MASKS[w]`` keeps the low ``w`` bits of a word, for the widths
+#: one unaligned 64-bit load can serve after a shift of up to 7 bits.
+_FIELD_MASKS: np.ndarray = (
+    np.uint64(1) << np.arange(57, dtype=np.uint64)
+) - np.uint64(1)
+_FIELD_MASKS.setflags(write=False)
+
+
+def extract_fields(
+    data: np.ndarray, bit_positions: np.ndarray, width: int | np.ndarray
+) -> np.ndarray:
     """Read a ``width``-bit field at each (arbitrary) bit position.
 
     This is the random-access primitive behind ``get_lower_half`` in
-    Alg. 2: each thread fetches its own value's lower bits.  Handles
-    fields straddling up to 8 byte boundaries (width <= 57 guaranteed by
-    EF since l <= 57 for 64-bit universes; we support width <= 56 safely
-    and fall back for wider fields).
+    Alg. 2: each thread fetches its own value's lower bits.  ``width``
+    is one width for every field or one width per position.
+
+    A field of width <= 56 starting at bit ``p`` lies inside the 8
+    bytes from byte ``p >> 3``, so it is one gather from an unaligned
+    little-endian ``uint64`` view of ``data``, a shift by ``p & 7`` and
+    a mask.  Words that would run past the end of ``data`` are read
+    from a zero-padded copy of its last 8 bytes.  Wider fields (EF
+    allows up to 64 bits) take a per-field scalar read.
     """
-    data = np.asarray(data, dtype=np.uint8)
+    data = np.ascontiguousarray(data, dtype=np.uint8)
     bit_positions = np.asarray(bit_positions, dtype=np.int64)
-    if width == 0:
-        return np.zeros(bit_positions.shape[0], dtype=np.uint64)
-    if width > 56:
-        # Rare slow path: per-element scalar reads.
-        out = np.empty(bit_positions.shape[0], dtype=np.uint64)
-        for i, pos in enumerate(bit_positions):
-            out[i] = BitReader(data, int(pos)).read_bits(width)
-        return out
-    byte_idx = bit_positions >> 3
-    bit_off = (bit_positions & 7).astype(np.uint64)
-    # Gather 8 consecutive bytes per field (little-endian window).
-    offsets = np.arange(8, dtype=np.int64)
-    gather_idx = byte_idx[:, None] + offsets[None, :]
-    safe_idx = np.minimum(gather_idx, data.shape[0] - 1)
-    window = data[safe_idx].astype(np.uint64)
-    window[gather_idx >= data.shape[0]] = 0
-    word = (window << (np.uint64(8) * offsets.astype(np.uint64))[None, :]).sum(
-        axis=1, dtype=np.uint64
-    )
-    mask = np.uint64((1 << width) - 1)
-    return (word >> bit_off) & mask
+    widths = np.asarray(width, dtype=np.int64)
+    if widths.ndim == 0:
+        w = int(widths)
+        if w < 0:
+            raise ValueError(f"negative width: {w}")
+        if w == 0 or bit_positions.shape[0] == 0:
+            return np.zeros(bit_positions.shape[0], dtype=np.uint64)
+        if w > 56:
+            return _read_fields_scalar(data, bit_positions, widths)
+        mask = _FIELD_MASKS[w]
+    else:
+        if widths.size and int(widths.min()) < 0:
+            raise ValueError(f"negative width: {int(widths.min())}")
+        wide = widths > 56
+        if wide.any():
+            out = np.zeros(bit_positions.shape[0], dtype=np.uint64)
+            out[wide] = _read_fields_scalar(
+                data, bit_positions[wide], widths[wide]
+            )
+            narrow = ~wide
+            out[narrow] = extract_fields(
+                data, bit_positions[narrow], widths[narrow]
+            )
+            return out
+        mask = _FIELD_MASKS[widths]
+    word = _gather_words(data, bit_positions >> 3)
+    word >>= (bit_positions & 7).astype(np.uint64)
+    word &= mask
+    return word
+
+
+def _gather_words(data: np.ndarray, byte_idx: np.ndarray) -> np.ndarray:
+    """The little-endian 8-byte word at each byte offset of ``data``;
+    bytes past the end read as zero."""
+    n = data.shape[0]
+    head = max(n - 8, 0)
+    if n >= 8:
+        words = np.ndarray((n - 7,), "<u8", buffer=data, strides=(1,))
+        tail = byte_idx > head
+        if not tail.any():
+            return words[byte_idx].astype(np.uint64, copy=False)
+        out = words[np.minimum(byte_idx, head)].astype(np.uint64, copy=False)
+    else:
+        tail = np.ones(byte_idx.shape[0], dtype=bool)
+        out = np.empty(byte_idx.shape[0], dtype=np.uint64)
+    padded = np.zeros(16, dtype=np.uint8)
+    padded[: n - head] = data[head:]
+    padded_words = np.ndarray((9,), "<u8", buffer=padded, strides=(1,))
+    out[tail] = padded_words[np.minimum(byte_idx[tail] - head, 8)]
+    return out
+
+
+def _read_fields_scalar(
+    data: np.ndarray, bit_positions: np.ndarray, widths: np.ndarray
+) -> np.ndarray:
+    """Per-field scalar reads: the rare path for fields over 56 bits."""
+    widths = np.broadcast_to(widths, bit_positions.shape)
+    out = np.empty(bit_positions.shape[0], dtype=np.uint64)
+    for i, (pos, w) in enumerate(zip(bit_positions, widths)):
+        out[i] = BitReader(data, int(pos)).read_bits(int(w))
+    return out

@@ -54,6 +54,8 @@ __all__ = [
 #: that combines requests from concurrently-running warps.
 COALESCE_WINDOW = 32
 
+_INT32_MIN, _INT32_MAX = np.iinfo(np.int32).min, np.iinfo(np.int32).max
+
 
 def stream_transfer_bytes(
     ids: np.ndarray,
@@ -81,10 +83,16 @@ def stream_transfer_bytes(
     if window < 1:
         raise ValueError("window must be >= 1")
     units = (ids.astype(np.int64) * elem_bytes) // unit_bytes
-    merged = np.zeros(units.shape[0], dtype=bool)
-    for k in range(1, min(window, units.shape[0] - 1) + 1):
-        merged[k:] |= units[k:] == units[:-k]
-    misses = int((~merged).sum())
+    if units.min() >= _INT32_MIN and units.max() <= _INT32_MAX:
+        # Half the bytes per compare pass; the count is unchanged.
+        units = units.astype(np.int32)
+    n = units.shape[0]
+    merged = np.zeros(n, dtype=bool)
+    same = np.empty(n, dtype=bool)
+    for k in range(1, min(window, n - 1) + 1):
+        np.equal(units[k:], units[:-k], out=same[: n - k])
+        np.logical_or(merged[k:], same[: n - k], out=merged[k:])
+    misses = n - int(np.count_nonzero(merged))
     return misses * unit_bytes
 
 

@@ -1,9 +1,14 @@
 """Tests for the EFG format: encoder, layout, batched decoder."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.core.efg import csr_gather_indices, decode_lists, efg_encode
+from repro.core.efg import EFGraph, csr_gather_indices, decode_lists, efg_encode
+from repro.core.errors import CorruptStreamError
+from repro.core.kernels import decompress_multiple_lists
+from repro.ef.bitstream import BitWriter, extract_fields
 from repro.ef.bounds import ef_num_lower_bits
 from repro.formats.csr import CSRGraph
 from repro.formats.graph import Graph
@@ -156,6 +161,156 @@ class TestBatchedDecode:
         vals, _ = decode_lists(efg, np.array([0, 1, 2]))
         expect = np.concatenate([g.neighbours(v) for v in range(3)])
         assert np.array_equal(vals, expect)
+
+
+def _hand_built_efg(lists, lower_bits):
+    """An EFG container built field by field, for ``l`` the encoder
+    never picks; every list is shorter than the quantum, so it has no
+    forward pointers."""
+    chunks, offsets = [], [0]
+    for values, l in zip(lists, lower_bits):
+        lower, upper = BitWriter(), BitWriter()
+        high = 0
+        for x in values:
+            lower.write_bits(x & ((1 << l) - 1), l)
+            upper.write_unary((x >> l) - high)
+            high = x >> l
+        chunks += [lower.getvalue(), upper.getvalue()]
+        offsets.append(offsets[-1] + chunks[-2].shape[0] + chunks[-1].shape[0])
+    vlist = np.concatenate([[0], np.cumsum([len(v) for v in lists])])
+    return EFGraph(
+        vlist=vlist.astype(np.int64),
+        num_lower_bits=np.array(lower_bits, dtype=np.uint8),
+        offsets=np.array(offsets, dtype=np.int64),
+        data=np.concatenate(chunks).astype(np.uint8),
+    )
+
+
+class TestDecoderPaths:
+    """The single-pass decoder's select and lower-bits paths."""
+
+    def test_mixed_zero_and_nonzero_lower_bits(self):
+        # Dense lists get l = 0 (no lower section), sparse ones l > 0.
+        n = 5000
+        adjacency = [[] for _ in range(n)]
+        adjacency[0] = list(range(10))
+        adjacency[1] = [5, 900, 4000]
+        adjacency[2] = list(range(1, 41))
+        adjacency[3] = [7, 4999]
+        g = Graph.from_adjacency(adjacency)
+        efg = efg_encode(g)
+        assert efg.num_lower_bits[[0, 2]].tolist() == [0, 0]
+        assert np.all(efg.num_lower_bits[[1, 3]] > 0)
+        batch = np.array([0, 1, 2, 4, 3, 0, 1])
+        vals, seg = decode_lists(efg, batch)
+        expect = np.concatenate([g.neighbours(int(v)) for v in batch])
+        assert np.array_equal(vals, expect)
+        assert np.array_equal(seg, np.repeat(np.arange(7), g.degrees[batch]))
+
+    def test_lower_bits_in_final_payload_bytes(self):
+        # The last list's lower section ends within 8 bytes of the
+        # payload end, past the reach of a whole unaligned word.
+        n = 5000
+        adjacency = [[] for _ in range(n)]
+        adjacency[0] = list(range(0, 3000, 7))
+        adjacency[n - 1] = [3, 2100, n - 2]
+        g = Graph.from_adjacency(adjacency)
+        efg = efg_encode(g)
+        v = np.array([n - 1])
+        assert int(efg.num_lower_bits[n - 1]) > 0
+        assert int(efg.lower_start_byte(v)[0]) > efg.data.shape[0] - 8
+        batch = np.array([n - 1, 0, n - 1])
+        vals, _ = decode_lists(efg, batch)
+        expect = np.concatenate([g.neighbours(int(u)) for u in batch])
+        assert np.array_equal(vals, expect)
+        assert [efg.edge_at(n - 1, i) for i in range(3)] == adjacency[n - 1]
+
+    @pytest.mark.parametrize("wide", [57, 60, 63])
+    def test_lower_bits_wider_than_56(self, wide):
+        lists = [
+            [3, 70, 1000],
+            [(1 << 56) + 7, (1 << 61) + 12345, (1 << 62) + 5],
+            [],
+            [11, 12],
+        ]
+        efg = _hand_built_efg(lists, [4, wide, 0, 1])
+        efg.validate()
+        batch = np.array([1, 0, 3, 2, 1])
+        vals, seg = decode_lists(efg, batch)
+        expect = [x for v in batch for x in lists[v]]
+        assert vals.tolist() == expect
+        kernel_vals, kernel_seg, _ = decompress_multiple_lists(efg, batch)
+        assert np.array_equal(vals, kernel_vals)
+        assert np.array_equal(seg, kernel_seg)
+        assert [efg.edge_at(1, i) for i in range(len(lists[1]))] == lists[1]
+
+    def test_mmap_backed_read_only_payload(self, small_graph, tmp_path):
+        efg = efg_encode(small_graph)
+        assert not efg.data.flags.writeable
+        path = tmp_path / "efg.payload"
+        efg.data.tofile(path)
+        mapped = dataclasses.replace(
+            efg, data=np.memmap(path, dtype=np.uint8, mode="r")
+        )
+        verts = np.arange(small_graph.num_nodes)
+        vals, seg = decode_lists(mapped, verts)
+        ref_vals, ref_seg = decode_lists(efg, verts)
+        assert np.array_equal(vals, small_graph.elist)
+        assert np.array_equal(vals, ref_vals)
+        assert np.array_equal(seg, ref_seg)
+
+    def test_extract_fields_on_open_container_payload(self, small_graph, tmp_path):
+        from repro.serve.container import open_container, save_container
+
+        save_container(small_graph, tmp_path / "g")
+        container = open_container(tmp_path / "g")
+        assert isinstance(container.payload, np.memmap)
+        elist = small_graph.elist.astype(np.uint64)
+        # Each neighbour id is one little-endian 64-bit word.
+        for shift, width in [(0, 40), (3, 56), (9, 17)]:
+            positions = np.arange(elist.shape[0], dtype=np.int64) * 64 + shift
+            got = extract_fields(container.payload, positions, width)
+            mask = np.uint64((1 << width) - 1)
+            assert np.array_equal(got, (elist >> np.uint64(shift)) & mask)
+
+    def test_stop_bits_moved_across_list_boundary(self):
+        # Move list a's last stop bit into a free bit at the start of
+        # list b's upper section: the count still matches the degrees,
+        # but value 5 of list a now selects bit 0 of list b.  With l = 0
+        # value x_i's stop bit is bit x_i + i.
+        n = 1000
+        adjacency = [[] for _ in range(n)]
+        adjacency[0] = [0, 1, 2, 3, 4, 5]
+        adjacency[1] = [900, 950]
+        efg = efg_encode(Graph.from_adjacency(adjacency))
+        assert int(efg.num_lower_bits[0]) == 0
+        data = efg.data.copy()
+        a_bit = int(efg.upper_start_byte(np.array([0]))[0]) * 8 + 5 + 5
+        b_byte = int(efg.upper_start_byte(np.array([1]))[0])
+        assert data[a_bit >> 3] >> (a_bit & 7) & 1
+        assert not data[b_byte] & 1
+        data[a_bit >> 3] ^= np.uint8(1 << (a_bit & 7))
+        data[b_byte] |= np.uint8(1)
+        corrupt = dataclasses.replace(efg, data=data)
+        with pytest.raises(
+            CorruptStreamError,
+            match=r"select position precedes element rank \(stop bits misplaced\)",
+        ):
+            decode_lists(corrupt, np.array([0, 1]))
+
+    def test_stop_bit_count_mismatch(self, small_graph):
+        efg = efg_encode(small_graph)
+        v = int(np.argmax(small_graph.degrees))
+        data = efg.data.copy()
+        byte = int(efg.upper_start_byte(np.array([v]))[0])
+        data[byte] ^= np.uint8(1 << int(np.flatnonzero(
+            np.unpackbits(data[byte : byte + 1], bitorder="little") == 0
+        )[0]))
+        deg = int(small_graph.degrees[v])
+        with pytest.raises(
+            CorruptStreamError, match=f"{deg + 1} stop bits for {deg} values"
+        ):
+            decode_lists(dataclasses.replace(efg, data=data), np.array([v]))
 
 
 class TestAccounting:

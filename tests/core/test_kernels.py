@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.efg import decode_lists, efg_encode
 from repro.core.kernels import (
@@ -104,6 +106,42 @@ class TestMultipleLists:
         efg = efg_encode(g)
         vals, seg, _ = decompress_multiple_lists(efg, np.array([0, 1]))
         assert vals.shape == (0,)
+
+
+@st.composite
+def mixed_width_graphs(draw):
+    """Graphs whose lists span dense runs (l = 0) to sparse ids (large
+    l), so one batch mixes every lower-bits width."""
+    n = draw(st.integers(2, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    adjacency = [[] for _ in range(n)]
+    for v in rng.integers(0, n, size=draw(st.integers(1, 12))):
+        deg = int(rng.integers(1, min(n, 200) + 1))
+        if draw(st.booleans()):
+            start = int(rng.integers(0, n - deg + 1))
+            adjacency[v] = list(range(start, start + deg))
+        else:
+            adjacency[v] = sorted(set(rng.integers(0, n, size=deg).tolist()))
+    return Graph.from_adjacency(adjacency)
+
+
+class TestDecodeListsAgainstKernel:
+    @given(graph=mixed_width_graphs(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_fig7_kernel(self, graph, data):
+        efg = efg_encode(graph, quantum=data.draw(st.sampled_from([2, 16, 512])))
+        nonempty = np.flatnonzero(graph.degrees > 0)
+        picks = data.draw(
+            st.lists(st.integers(0, graph.num_nodes - 1), max_size=6)
+        )
+        frontier = np.concatenate([nonempty, picks, nonempty[::-1]]).astype(np.int64)
+        epb = data.draw(st.sampled_from([1, 7, 64, 10**6]))
+        vals, seg, _ = decompress_multiple_lists(efg, frontier, edges_per_block=epb)
+        ref_vals, ref_seg = decode_lists(efg, frontier)
+        assert np.array_equal(ref_vals, vals)
+        assert np.array_equal(ref_seg, seg)
+        expect = [int(x) for v in frontier for x in graph.neighbours(int(v))]
+        assert ref_vals.tolist() == expect
 
 
 class TestBlockTable:

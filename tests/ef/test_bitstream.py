@@ -161,3 +161,52 @@ class TestExtractFields:
         w.write_bits(value, 61)
         got = extract_fields(w.getvalue(), np.array([3]), 61)
         assert int(got[0]) == value
+
+    @pytest.mark.parametrize("nbytes", [3, 8, 21])
+    def test_every_width_matches_bitreader(self, rng, nbytes):
+        # Every position a field of each width fits at, so the fields in
+        # the last 8 bytes (past the unaligned-word view) are included.
+        data = rng.integers(0, 256, size=nbytes).astype(np.uint8)
+        for width in range(1, 65):
+            positions = np.arange(0, nbytes * 8 - width + 1)
+            got = extract_fields(data, positions, width)
+            expect = [BitReader(data, int(p)).read_bits(width) for p in positions]
+            assert got.tolist() == expect, width
+
+    def test_per_position_widths(self, rng):
+        # Mixed widths in one call, 0 and the > 56-bit ones included,
+        # equal one call per width.
+        data = rng.integers(0, 256, size=40).astype(np.uint8)
+        widths = rng.integers(0, 65, size=300)
+        positions = rng.integers(0, 40 * 8 - widths + 1)
+        got = extract_fields(data, positions, widths)
+        expect = [
+            int(extract_fields(data, positions[i : i + 1], int(w))[0])
+            for i, w in enumerate(widths)
+        ]
+        assert got.tolist() == expect
+
+    def test_empty_positions(self):
+        data = np.arange(16, dtype=np.uint8)
+        empty = np.array([], dtype=np.int64)
+        for width in (5, np.array([], dtype=np.int64)):
+            out = extract_fields(data, empty, width)
+            assert out.shape == (0,) and out.dtype == np.uint64
+
+    def test_non_contiguous_and_read_only_input(self, rng):
+        base = rng.integers(0, 256, size=64).astype(np.uint8)
+        strided = base[::3]
+        strided.flags.writeable = False
+        positions = np.arange(0, strided.shape[0] * 8 - 13, 5)
+        got = extract_fields(strided, positions, 13)
+        dense = strided.copy()
+        assert got.tolist() == [
+            BitReader(dense, int(p)).read_bits(13) for p in positions
+        ]
+
+    def test_negative_width_rejected(self):
+        data = np.zeros(8, dtype=np.uint8)
+        with pytest.raises(ValueError):
+            extract_fields(data, np.array([0]), -1)
+        with pytest.raises(ValueError):
+            extract_fields(data, np.array([0, 1]), np.array([3, -2]))

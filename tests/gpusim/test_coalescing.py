@@ -63,3 +63,35 @@ class TestOrderSensitivity:
         ids = np.arange(8000)
         nbytes = stream_transfer_bytes(ids, 4, 32)
         assert nbytes == 8000 * 4  # perfect coalescing
+
+
+def _reference_transfer_bytes(ids, elem_bytes, unit_bytes, window=COALESCE_WINDOW):
+    """The model written out plainly: one int64 pass per look-back."""
+    units = (np.asarray(ids).astype(np.int64) * elem_bytes) // unit_bytes
+    merged = np.zeros(units.shape[0], dtype=bool)
+    for k in range(1, min(window, units.shape[0] - 1) + 1):
+        merged[k:] |= units[k:] == units[:-k]
+    return int((~merged).sum()) * unit_bytes
+
+
+class TestMatchesReference:
+    def test_random_streams(self, rng):
+        for _ in range(300):
+            n = int(rng.integers(1, 400))
+            ids = rng.integers(0, int(rng.choice([8, 1000, 1 << 20])), size=n)
+            window = int(rng.integers(1, 41))
+            elem = int(rng.choice([1, 4, 8]))
+            unit = int(rng.choice([32, 64, 128]))
+            assert stream_transfer_bytes(
+                ids, elem, unit, window=window
+            ) == _reference_transfer_bytes(ids, elem, unit, window=window)
+
+    def test_units_beyond_int32(self, rng):
+        # Unit ids that differ only above bit 31 must not alias.
+        base = np.int64(1) << 40
+        ids = np.concatenate([[base, base + (1 << 32) * 32]] * 3)
+        ids = np.concatenate([ids, rng.integers(base, base + 10**6, size=500)])
+        assert stream_transfer_bytes(ids, 8, 32) == _reference_transfer_bytes(
+            ids, 8, 32
+        )
+        assert stream_transfer_bytes(ids[:6], 1, 32) == 2 * 32
