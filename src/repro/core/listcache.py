@@ -8,17 +8,23 @@ Decoding such a list once and keeping the decoded ids resident on chip
 turns every later visit into a plain L2/shared-memory stream — no
 payload traffic, no select/binsearch pipeline.
 
-:class:`DecodedListCache` models that residency: a byte-budgeted map
-from vertex id to its decoded neighbour array (4 B per edge, the int32
-ids a GPU would keep).  Two replacement policies:
+:class:`DecodedListCache` models that residency and stores no neighbour
+arrays: the functional neighbours are exact whether or not a list was
+cached.  Its state is two ``int64`` arrays, resident vertex ids and
+entry bytes (4 B per edge, the int32 ids a GPU would keep), ordered
+from least to most recently used.  LRU with byte-sized entries is a
+*stack algorithm*: if a batch appends distinct, non-resident entries
+and each insertion evicts from the LRU end until it fits, the resident
+set afterwards is the longest most-recent suffix that fits the budget,
+and every entry dropped from the sequence is one eviction.  So
+:meth:`~DecodedListCache.probe` is one membership test (hits move to the
+recent end in the order of their last lookup) and
+:meth:`~DecodedListCache.put_many` one reversed cumulative sum, with
+exactly the results of the one-entry-at-a-time loop.  ``put_many``
+takes one expand's misses: distinct vertices, none resident, else
+``ValueError``.
 
-* ``"lru"`` — classic least-recently-used, the behaviour of a
-  hardware-managed cache under temporal locality.
-* ``"degree"`` — evict the smallest list first, approximating an
-  explicitly-managed hot-list buffer that pins hubs (the entries whose
-  re-decode is most expensive and most frequent).
-
-The cache is purely functional state plus counters; *cost* accounting
+The cache is purely residency state plus counters; *cost* accounting
 lives in :meth:`repro.traversal.backends.GraphBackend.expand`, which
 charges hits via :meth:`repro.gpusim.kernel.KernelLaunch.cached_read`
 and credits the compressed bytes + decode instructions a hit avoided.
@@ -117,7 +123,7 @@ class CacheStats:
 
 
 class DecodedListCache:
-    """Byte-budgeted cache of decoded neighbour arrays, keyed by vertex.
+    """Byte-budgeted LRU residency of decoded neighbour lists, by vertex.
 
     Parameters
     ----------
@@ -125,8 +131,6 @@ class DecodedListCache:
         Capacity modeling the on-chip residency the traversal can spare
         (a slice of L2 / persistent shared memory).  Entries are charged
         ``DECODED_ELEM_BYTES`` per neighbour.
-    policy:
-        ``"lru"`` (default) or ``"degree"`` (evict smallest list first).
     record_reuse:
         Additionally maintain an unbounded *ghost* LRU and log, per
         lookup, the byte reuse distance (bytes touched since this
@@ -138,18 +142,10 @@ class DecodedListCache:
         lookup.
     """
 
-    def __init__(
-        self,
-        budget_bytes: int,
-        policy: str = "lru",
-        record_reuse: bool = False,
-    ) -> None:
+    def __init__(self, budget_bytes: int, record_reuse: bool = False) -> None:
         if budget_bytes <= 0:
             raise ValueError(f"budget_bytes must be positive, got {budget_bytes}")
-        if policy not in ("lru", "degree"):
-            raise ValueError(f"unknown policy {policy!r}")
         self.budget_bytes = int(budget_bytes)
-        self.policy = policy
         self.record_reuse = bool(record_reuse)
         #: ``(reuse_distance_bytes, entry_bytes)`` per lookup; first
         #: touches log ``(inf, 0)`` (a miss at every budget).
@@ -158,23 +154,35 @@ class DecodedListCache:
         #: log spans back to the kernel launch that probed them.
         self._batches: list[tuple[int, int]] = []
         self.stats = CacheStats()
-        self._entries: OrderedDict[int, np.ndarray] = OrderedDict()
+        #: The LRU stack: resident vertices and their entry bytes, least
+        #: to most recently used.
+        self._vertices = np.empty(0, dtype=np.int64)
+        self._sizes = np.empty(0, dtype=np.int64)
         #: Ghost LRU: vertex -> entry bytes, unbounded, admission-free.
         self._ghost: OrderedDict[int, int] = OrderedDict()
-        self._bytes = 0
 
     # -- introspection ----------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return int(self._vertices.shape[0])
 
     def __contains__(self, vertex: int) -> bool:
-        return int(vertex) in self._entries
+        return bool((self._vertices == int(vertex)).any())
 
     @property
     def used_bytes(self) -> int:
-        """Bytes of budget currently occupied by decoded lists."""
-        return self._bytes
+        """Bytes of budget currently occupied by resident lists."""
+        return int(self._sizes.sum())
+
+    def _find(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Residency mask and stack position (meaningful where resident)."""
+        stack = self._vertices
+        if stack.size == 0:
+            return np.zeros(vertices.shape, bool), np.zeros_like(vertices)
+        order = np.argsort(stack)
+        idx = np.searchsorted(stack, vertices, sorter=order)
+        pos = order[np.minimum(idx, stack.size - 1)]
+        return stack[pos] == vertices, pos
 
     # -- lookup -----------------------------------------------------------
 
@@ -182,22 +190,26 @@ class DecodedListCache:
         """Hit mask for a batch of vertex ids (counts stats, touches LRU).
 
         Returns a boolean array aligned with ``vertices``; hit entries
-        are refreshed in the recency order.
+        move to the most-recent end in the order of their last lookup.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
-        mask = np.empty(vertices.shape[0], dtype=bool)
-        entries = self._entries
-        record = self.record_reuse
-        for i, v in enumerate(vertices.tolist()):
-            hit = v in entries
-            mask[i] = hit
-            if hit:
-                entries.move_to_end(v)
-            if record:
+        if self.record_reuse:
+            for v in vertices.tolist():
                 self._log_reuse(v)
-        hits = int(mask.sum())
-        self.stats.hits += hits
-        self.stats.misses += vertices.shape[0] - hits
+        mask, pos = self._find(vertices)
+        hit_pos = pos[mask]
+        if hit_pos.size:
+            # Distinct hit positions, ordered by their last lookup.
+            rev = hit_pos[::-1]
+            _, first = np.unique(rev, return_index=True)
+            moved = rev[np.sort(first)[::-1]]
+            stay = np.ones(self._vertices.shape[0], dtype=bool)
+            stay[moved] = False
+            keep = np.concatenate([np.flatnonzero(stay), moved])
+            self._vertices = self._vertices[keep]
+            self._sizes = self._sizes[keep]
+        self.stats.hits += int(hit_pos.shape[0])
+        self.stats.misses += int(vertices.shape[0] - hit_pos.shape[0])
         return mask
 
     def _log_reuse(self, vertex: int) -> None:
@@ -266,67 +278,60 @@ class DecodedListCache:
             out[launch] = out.get(launch, 0) + edges
         return out
 
-    def get_many(self, vertices: np.ndarray) -> list[np.ndarray]:
-        """Decoded arrays for vertices known to be cached (post-probe)."""
-        entries = self._entries
-        return [entries[int(v)] for v in np.asarray(vertices, dtype=np.int64)]
+    def get_many(self, vertices: np.ndarray) -> np.ndarray:
+        """Entry bytes of vertices known to be resident (post-probe)."""
+        vertices = np.asarray(vertices, dtype=np.int64)
+        mask, pos = self._find(vertices)
+        if not mask.all():
+            raise KeyError(f"not resident: {vertices[~mask][:8].tolist()}")
+        return self._sizes[pos]
 
     # -- insertion --------------------------------------------------------
 
-    def put(self, vertex: int, neighbours: np.ndarray) -> bool:
-        """Insert one decoded list; evicts per policy until it fits.
+    def put_many(self, vertices: np.ndarray, num_edges: np.ndarray) -> None:
+        """Record a batch of freshly decoded lists (one expand's misses).
 
-        Lists larger than the whole budget are rejected (caching one
-        would flush everything for a single-visit win).  Returns whether
-        the list was admitted.
+        ``vertices`` must be distinct and none may be resident; each
+        entry is charged ``num_edges * DECODED_ELEM_BYTES``.  Lists
+        larger than the whole budget are rejected (caching one would
+        flush everything for a single-visit win); the rest are appended
+        most-recent-last and the stack keeps its longest most-recent
+        suffix that fits the budget — exactly what inserting them one by
+        one, evicting from the LRU end, would leave.
         """
-        vertex = int(vertex)
-        neighbours = np.asarray(neighbours, dtype=np.int64)
-        nbytes = int(neighbours.shape[0]) * DECODED_ELEM_BYTES
+        vertices = np.asarray(vertices, dtype=np.int64)
+        sizes = np.asarray(num_edges, dtype=np.int64) * DECODED_ELEM_BYTES
+        ordered = np.sort(vertices)
+        if (ordered[1:] == ordered[:-1]).any():
+            raise ValueError("put_many vertices must be distinct")
+        if self._find(vertices)[0].any():
+            raise ValueError("put_many vertices must not be resident")
         if self.record_reuse:
             # The ghost admits everything (it models arbitrary budgets,
             # including ones big enough for lists this budget rejects).
-            self._ghost.pop(vertex, None)
-            self._ghost[vertex] = nbytes
-        if nbytes > self.budget_bytes:
-            self.stats.rejected += 1
-            return False
-        old = self._entries.pop(vertex, None)
-        if old is not None:
-            self._bytes -= int(old.shape[0]) * DECODED_ELEM_BYTES
-        while self._bytes + nbytes > self.budget_bytes and self._entries:
-            self._evict_one()
-        # Materialise views: a slice of a batch-decode buffer would pin
-        # the whole buffer in host memory, breaking the byte budget.
-        if neighbours.base is not None:
-            neighbours = neighbours.copy()
-        self._entries[vertex] = neighbours
-        self._bytes += nbytes
-        return True
-
-    def put_many(
-        self, vertices: np.ndarray, lists: list[np.ndarray]
-    ) -> None:
-        """Insert a batch of decoded lists (one expand's misses)."""
-        for v, nbrs in zip(np.asarray(vertices, dtype=np.int64), lists):
-            self.put(int(v), nbrs)
-
-    def _evict_one(self) -> None:
-        if self.policy == "lru":
-            _, victim = self._entries.popitem(last=False)
-        else:  # degree: drop the smallest list — hubs stay pinned
-            v = min(self._entries, key=lambda k: self._entries[k].shape[0])
-            victim = self._entries.pop(v)
-        self._bytes -= int(victim.shape[0]) * DECODED_ELEM_BYTES
-        self.stats.evictions += 1
+            ghost = self._ghost
+            for v, nbytes in zip(vertices.tolist(), sizes.tolist()):
+                ghost.pop(v, None)
+                ghost[v] = nbytes
+        fits = sizes <= self.budget_bytes
+        self.stats.rejected += int(fits.shape[0] - np.count_nonzero(fits))
+        stack = np.concatenate([self._vertices, vertices[fits]])
+        stack_sizes = np.concatenate([self._sizes, sizes[fits]])
+        tail_bytes = np.cumsum(stack_sizes[::-1])
+        cut = stack.shape[0] - int(
+            np.searchsorted(tail_bytes, self.budget_bytes, side="right")
+        )
+        self.stats.evictions += cut
+        self._vertices = stack[cut:]
+        self._sizes = stack_sizes[cut:]
 
     # -- lifecycle --------------------------------------------------------
 
     def clear(self) -> None:
         """Drop every entry (budget and stats objects survive)."""
-        self._entries.clear()
+        self._vertices = self._vertices[:0]
+        self._sizes = self._sizes[:0]
         self._ghost.clear()
-        self._bytes = 0
 
     def reset_stats(self) -> None:
         """Start a fresh counter epoch (e.g. per benchmark run)."""

@@ -27,12 +27,13 @@ reordering (Sec. VIII-D) and partial frontier sorting (Sec. VI-E)
 matter in the model.
 
 A :class:`~repro.core.listcache.DecodedListCache` can be attached to
-any backend (:meth:`GraphBackend.attach_cache`): frontier lists found
-in the cache skip the functional decode *and* its cost — the expansion
-is charged as on-chip cached reads of the decoded ids instead of
-compressed payload traffic plus decode instructions (EFG) or serial
-varint chains (CGR).  Hit/miss/eviction and bytes-saved counters are
-pushed to the engine so they appear in profile reports.
+any backend (:meth:`GraphBackend.attach_cache`).  The cache records
+residency only: the host still decodes every frontier list (the
+neighbours are exact either way), but lists found resident skip the
+decode *cost* — they are charged as on-chip cached reads of the decoded
+ids instead of compressed payload traffic plus decode instructions
+(EFG) or serial varint chains (CGR).  Hit/miss/eviction and bytes-saved
+counters are pushed to the engine so they appear in profile reports.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from repro.gpusim.cost import CostParams
 from repro.gpusim.device import CPU_E5_2696V4_X2, DeviceSpec
 from repro.gpusim.engine import SimEngine
 from repro.gpusim.kernel import KernelLaunch
-from repro.primitives.scan import exclusive_scan
 
 __all__ = [
     "GraphBackend",
@@ -92,8 +92,8 @@ class GraphBackend(abc.ABC):
     #: Optional decoded-adjacency cache (see :meth:`attach_cache`).
     cache: DecodedListCache | None = None
 
-    #: Functional list decodes performed so far (a cache hit serves the
-    #: list without decoding, so with a cache this counts misses only).
+    #: Simulated list decodes so far.  With a cache this counts misses
+    #: only: the host decodes hits too, but the modeled GPU streams them.
     lists_decoded: int = 0
 
     # -- construction helpers -------------------------------------------
@@ -150,8 +150,8 @@ class GraphBackend(abc.ABC):
         lists in frontier order; ``frontier_pos[i]`` is the index into
         ``frontier`` of the vertex that produced ``neighbours[i]``.
         Charges the traffic/instructions of this representation on
-        ``kernel``.  With a cache attached, hit lists are streamed from
-        on-chip memory and only the misses pay the real decode.
+        ``kernel``.  With a cache attached, hit lists are charged as
+        streams from on-chip memory and only the misses pay the decode.
         """
         frontier = np.asarray(frontier, dtype=np.int64)
         if self.cache is None:
@@ -164,7 +164,7 @@ class GraphBackend(abc.ABC):
     def _expand_with_cache(
         self, frontier: np.ndarray, kernel: KernelLaunch
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Cache-aware expansion: decode misses, stream hits, merge."""
+        """Cache-aware expansion: charge misses as decodes, hits as streams."""
         cache = self.cache
         evictions_before = cache.stats.evictions
         if cache.record_reuse:
@@ -173,45 +173,31 @@ class GraphBackend(abc.ABC):
             # the what-if engine re-price exactly this kernel.
             cache.begin_batch(len(self.engine.records))
         hit_mask = cache.probe(frontier)
-        hit_pos = np.flatnonzero(hit_mask)
-        miss_pos = np.flatnonzero(~hit_mask)
-        miss_vertices = frontier[miss_pos]
+        hit_vertices = frontier[hit_mask]
+        miss_vertices = frontier[~hit_mask]
 
-        # Fetch the hit data *before* installing misses: under a tight
+        # Read the hit sizes *before* recording misses: under a tight
         # budget the insertions below may evict the very entries probe()
         # just reported resident (on a GPU the hit reads likewise happen
         # before the replacement writes land).
-        hit_vertices = frontier[hit_pos]
-        hit_lists = cache.get_many(hit_vertices) if hit_pos.size else []
+        hit_bytes = cache.get_many(hit_vertices)
 
-        miss_nbrs = np.empty(0, dtype=np.int64)
+        # The host decodes every list; the cache only prices residency.
+        nbrs, seg = self._decode(frontier)
         if miss_vertices.size:
-            miss_nbrs, _ = self._decode(miss_vertices)
+            miss_nbrs = nbrs[~hit_mask[seg]]
             self.lists_decoded += int(miss_vertices.shape[0])
             cache.stats.miss_edges += int(miss_nbrs.shape[0])
-            # Install the freshly decoded lists (split back per vertex).
-            bounds = np.cumsum(self.degrees[miss_vertices])[:-1]
-            cache.put_many(miss_vertices, np.split(miss_nbrs, bounds))
+            cache.put_many(miss_vertices, self.degrees[miss_vertices])
             self.charge_expand(miss_vertices, miss_nbrs, kernel)
-
-        # Merge hits and misses back into frontier order.
-        deg = self.degrees[frontier]
-        ex_deg, total = exclusive_scan(deg)
-        nbrs = np.empty(int(total), dtype=np.int64)
-        seg = np.repeat(np.arange(frontier.shape[0], dtype=np.int64), deg)
-        if miss_pos.size:
-            target, _ = csr_gather_indices(ex_deg[miss_pos], deg[miss_pos])
-            nbrs[target] = miss_nbrs
-        if hit_pos.size:
-            target, _ = csr_gather_indices(ex_deg[hit_pos], deg[hit_pos])
-            nbrs[target] = np.concatenate(hit_lists)
+        if hit_vertices.size:
             self.charge_cached_expand(
-                hit_vertices, int(deg[hit_pos].sum()), kernel
+                hit_vertices, int(hit_bytes.sum()) // DECODED_ELEM_BYTES, kernel
             )
 
         engine = self.engine
-        engine.metrics.inc("listcache:hits", int(hit_pos.size))
-        engine.metrics.inc("listcache:misses", int(miss_pos.size))
+        engine.metrics.inc("listcache:hits", int(hit_vertices.size))
+        engine.metrics.inc("listcache:misses", int(miss_vertices.size))
         engine.metrics.inc(
             "listcache:evictions", cache.stats.evictions - evictions_before
         )

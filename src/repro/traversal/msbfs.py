@@ -18,7 +18,7 @@ the paper's decode pipeline):
 Each level expands the *union* frontier (every vertex with any frontier
 bit) exactly once: the backend decodes each active list one time — with
 a :class:`~repro.core.listcache.DecodedListCache` attached, hot lists
-are not even decoded once per level but streamed from on-chip memory —
+are charged as streams from on-chip memory instead of decodes —
 and a single 64-wide OR per edge propagates all sources' reachability
 simultaneously.  Newly set bits become the next frontier, and the level
 index is recorded per (source, vertex) pair.
@@ -73,7 +73,7 @@ class MSBFSResult:
     #: Sum over sources of the edges its traversal would have examined
     #: (the work the batch amortizes; GTEPS uses this numerator).
     edges_traversed: int
-    #: Lists actually decoded by the batch (union-frontier visits that
+    #: Simulated list decodes of the batch (union-frontier visits that
     #: missed the cache, or all of them without a cache).
     lists_decoded: int
     sim_seconds: float
@@ -213,14 +213,15 @@ def msbfs(
             # frontier contains its origin — each (source, edge) pair the
             # sequential runs would traverse separately.  A lane serving
             # m coalesced queries counts its edges m times: that is the
-            # work m sequential runs would have done.
+            # work m sequential runs would have done.  Counted per active
+            # vertex: its lane count times its edges this level.
             active_masks = frontier_mask[active]
             src_per_edge = active_masks[seg]
-            level_edges = int(popcount_u64(src_per_edge).sum())
+            out_edges = np.bincount(seg, minlength=active.size)
+            level_edges = int((popcount_u64(active_masks) * out_edges).sum())
             for s in dup_lanes.tolist():
-                lane_edges = int(
-                    ((src_per_edge >> np.uint64(s)) & np.uint64(1)).sum()
-                )
+                in_lane = (active_masks >> np.uint64(s)) & np.uint64(1)
+                lane_edges = int(out_edges[in_lane > 0].sum())
                 level_edges += (int(lane_counts[s]) - 1) * lane_edges
             edges_traversed += level_edges
 

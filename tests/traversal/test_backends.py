@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.efg import efg_encode
+from repro.core.listcache import DecodedListCache
 from repro.formats.cgr import cgr_encode
 from repro.formats.csr import CSRGraph
 from repro.formats.ligra_plus import ligra_encode
@@ -57,6 +58,47 @@ class TestExpansion:
             total = k.cost.device_bytes + k.cost.host_bytes
             assert total > 0, backend.format_name
             assert k.cost.instructions > 0
+
+
+class TestCachedExpansion:
+    """The cache prices residency only: functional output is unchanged."""
+
+    def _rounds(self, graph, rng):
+        # Overlapping distinct frontiers, so later rounds hit lists the
+        # tight budget below has (partly) evicted again.
+        return [rng.choice(graph.num_nodes, size=40, replace=False)
+                for _ in range(12)]
+
+    def test_cached_expand_matches_uncached(self, small_graph, scaled_device,
+                                            rng):
+        rounds = self._rounds(small_graph, rng)
+        plain = _backends(small_graph, scaled_device)
+        cached = _backends(small_graph, scaled_device)
+        for ref, backend in zip(plain, cached):
+            backend.attach_cache(DecodedListCache(budget_bytes=256))
+            for frontier in rounds:
+                with ref.engine.launch("t") as k:
+                    want = ref.expand(frontier, k)
+                with backend.engine.launch("t") as k:
+                    got = backend.expand(frontier, k)
+                assert np.array_equal(got[0], want[0]), backend.format_name
+                assert np.array_equal(got[1], want[1]), backend.format_name
+            stats = backend.cache.stats
+            assert stats.evictions > 0 and stats.hits > 0, backend.format_name
+
+    def test_decodes_count_misses_and_edges_split(self, small_graph,
+                                                  scaled_device, rng):
+        rounds = self._rounds(small_graph, rng)
+        for backend in _backends(small_graph, scaled_device):
+            backend.attach_cache(DecodedListCache(budget_bytes=256))
+            expanded = 0
+            for frontier in rounds:
+                with backend.engine.launch("t") as k:
+                    nbrs, _ = backend.expand(frontier, k)
+                expanded += nbrs.shape[0]
+            stats = backend.cache.stats
+            assert backend.lists_decoded == stats.misses, backend.format_name
+            assert stats.hit_edges + stats.miss_edges == expanded
 
 
 class TestTrafficScalesWithCompression:

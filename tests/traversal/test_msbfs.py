@@ -131,6 +131,17 @@ class TestDuplicateSources:
         assert ms.num_lanes == 1
         assert ms.edges_traversed == 27
 
+    def test_duplicate_edges_match_sequential_sum(
+        self, small_graph, scaled_device
+    ):
+        # Multiplicities 3, 2 and 1 exercise the per-lane duplicate
+        # counting, with and without an evicting cache.
+        sources = np.array([5, 2, 5, 9, 2, 5])
+        for cache_bytes in (0, 512):
+            _assert_matches_sequential(
+                small_graph, scaled_device, sources, cache_bytes
+            )
+
     def test_64_distinct_plus_duplicates_allowed(
         self, small_graph, scaled_device
     ):
