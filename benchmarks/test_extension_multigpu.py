@@ -19,10 +19,22 @@ from conftest import run_once, save_records
 
 from repro.bench.harness import SCALED_TITAN_XP, encoded_suite_graph, make_backend
 from repro.bench.report import format_table
+from repro.dist import LinkTopology, ShardedCluster, distributed_bfs
 from repro.traversal.bfs import bfs
-from repro.traversal.distributed import multi_gpu_bfs
 
 GRAPHS = ("gsh-15-h_sym", "sk-05_sym", "com-frndster")
+
+
+def sharded_bfs(graph, source, num_gpus, wire="raw64", contention=1.0):
+    """CSR-sharded distributed BFS; one shared pipe (contention 1) and
+    device-width ids on the wire unless told otherwise."""
+    topology = LinkTopology.for_device(
+        SCALED_TITAN_XP, num_gpus, contention=contention
+    )
+    cluster = ShardedCluster.build(
+        graph, num_gpus, SCALED_TITAN_XP, wire=wire, topology=topology
+    )
+    return distributed_bfs(cluster, source)
 
 
 def _run():
@@ -32,8 +44,8 @@ def _run():
         src = int(np.argmax(enc.graph.degrees))
         one_csr = bfs(make_backend("csr", enc), src)
         one_efg = bfs(make_backend("efg", enc), src)
-        two = multi_gpu_bfs(enc.graph, src, 2, SCALED_TITAN_XP, fmt="csr")
-        four = multi_gpu_bfs(enc.graph, src, 4, SCALED_TITAN_XP, fmt="csr")
+        two = sharded_bfs(enc.graph, src, 2)
+        four = sharded_bfs(enc.graph, src, 4)
         assert np.array_equal(two.levels, one_csr.levels)
         records.append(
             {
@@ -98,10 +110,7 @@ def _run_codecs():
         row = {"name": name}
         baseline = None
         for wire in WIRES:
-            r = multi_gpu_bfs(
-                enc.graph, src, 4, SCALED_TITAN_XP, fmt="csr",
-                wire=wire, contention=0.5,
-            )
+            r = sharded_bfs(enc.graph, src, 4, wire=wire, contention=0.5)
             if baseline is None:
                 baseline = r
             else:

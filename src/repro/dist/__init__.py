@@ -3,9 +3,8 @@
 The paper's introduction names distribution across devices as the
 classic answer to graphs that exceed one GPU's memory, with EFG as the
 single-GPU alternative; this package makes the comparison honest.  It
-grew out of :mod:`repro.traversal.distributed` (which remains as a
-compatibility wrapper) and models the part every multi-GPU BFS paper
-ends up fighting — the frontier exchange:
+models the part every multi-GPU BFS paper ends up fighting — the
+frontier exchange:
 
 * :mod:`repro.dist.partition` — 1-D contiguous vertex sharding;
 * :mod:`repro.dist.topology` — per-link serialization of the
@@ -20,14 +19,16 @@ ends up fighting — the frontier exchange:
   single-step all-to-all, a butterfly (log-step hypercube, generalized
   to any GPU count) schedule, or a hierarchical gather/scatter that
   combines frontiers inside each node before crossing the slow tier;
+* :mod:`repro.dist.cluster` — the sharded cluster and its one
+  bulk-synchronous level step (local phase, exchange, claim),
+  instrumented with the :mod:`repro.obs` span/metrics layer;
 * :mod:`repro.dist.bfs` / :mod:`~repro.dist.sssp` /
-  :mod:`~repro.dist.pagerank` — bulk-synchronous drivers sharing the
-  partition/exchange machinery, instrumented with the
-  :mod:`repro.obs` span/metrics layer.
+  :mod:`~repro.dist.pagerank` — drivers that supply only their per-GPU
+  operator bodies to that step.
 """
 
 from repro.dist.bfs import DistBFSResult, distributed_bfs
-from repro.dist.cluster import DIST_FORMATS, ShardedCluster
+from repro.dist.cluster import DIST_FORMATS, DistResult, ShardedCluster
 from repro.dist.exchange import SCHEDULES, ExchangeStats, exchange
 from repro.dist.pagerank import DistPageRankResult, distributed_pagerank
 from repro.dist.partition import VertexPartition
@@ -57,6 +58,7 @@ __all__ = [
     "DIST_FORMATS",
     "DistBFSResult",
     "DistPageRankResult",
+    "DistResult",
     "DistSSSPResult",
     "EliasFanoCodec",
     "ExchangeStats",

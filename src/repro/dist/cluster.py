@@ -4,15 +4,19 @@ A :class:`ShardedCluster` binds one graph to ``num_gpus`` simulated
 devices: the 1-D partition, one backend per shard (CSR or EFG — the
 head-to-head the paper's introduction sets up), the link topology, the
 wire codec and the exchange schedule.  Drivers (BFS, SSSP, PageRank)
-use it for the three shared steps of every bulk-synchronous level —
+supply only their per-GPU operator bodies to :meth:`ShardedCluster.
+step`, which runs every bulk-synchronous level the same way (see
+``docs/model.md``) —
 
-* :meth:`pack` — dedupe/sort locally discovered ids (optionally folding
-  a value per id), bucket them by owner, and charge the pack kernel at
-  the device frontier width (:data:`~repro.dist.wire.FRONTIER_ID_BYTES`);
+* each GPU's local phase, then :meth:`pack` — dedupe/sort the
+  discovered ids (optionally folding a value per id), bucket them by
+  owner, and charge the pack kernel at the device frontier width
+  (:data:`~repro.dist.wire.FRONTIER_ID_BYTES`);
 * :meth:`exchange_buckets` — run the all-to-all through the codec and
   topology, folding the stats into the cluster metrics;
-* :meth:`charge_unpack` — the receive-side decode cost on each claim
-  kernel.
+* each GPU's claim launch, charged :meth:`charge_unpack` (the
+  receive-side decode) first;
+* :meth:`finish_level` — price the level and advance the clock.
 
 The cluster also owns the run's telemetry: a :class:`~repro.obs.spans.
 Tracer` over the *cluster* clock (max-over-GPUs per phase, the
@@ -24,9 +28,8 @@ runs feed, so ``repro compare`` can gate distributed runs too.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -36,11 +39,13 @@ from repro.dist.topology import LinkTopology
 from repro.dist.wire import FRONTIER_ID_BYTES, WireCodec, get_codec
 from repro.formats.graph import Graph
 from repro.gpusim.device import DeviceSpec
+from repro.gpusim.kernel import KernelLaunch
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Span, Tracer
 from repro.traversal.backends import CSRBackend, EFGBackend, GraphBackend
+from repro.traversal.result import Throughput
 
-__all__ = ["DIST_FORMATS", "LevelCharge", "ShardedCluster"]
+__all__ = ["DIST_FORMATS", "DistResult", "LevelCharge", "ShardedCluster"]
 
 #: Shard storage formats the cluster can build.
 DIST_FORMATS = ("csr", "efg")
@@ -70,6 +75,29 @@ class LevelCharge:
     exchange: ExchangeStats
     sync_seconds: float = 0.0
     sync_record: dict | None = None
+
+
+@dataclass(frozen=True)
+class DistResult(Throughput):
+    """Fields every distributed driver's result shares.
+
+    :meth:`ShardedCluster.finish` totals them from the recorded level
+    charges and metrics.
+    """
+
+    #: Bytes that crossed inter-GPU links (encoded ids + headers).
+    exchanged_bytes: int
+    #: Share of :attr:`sim_seconds` spent in the exchange.
+    exchange_seconds: float
+    #: Exchange time hidden under the local phase by the overlap
+    #: pipeline.
+    overlapped_seconds: float
+    sim_seconds: float
+    num_gpus: int
+    wire: str
+    schedule: str
+    messages: int
+    cluster: "ShardedCluster" = field(repr=False)
 
 
 def _make_shard_backend(
@@ -204,8 +232,9 @@ class ShardedCluster:
             raise ValueError(f"cannot advance by {seconds}")
         self.clock += seconds
 
-    def open_algorithm(self, name: str, **attrs) -> Span:
-        """Open the algorithm span (under the lazily created run root)."""
+    def start(self, name: str, **attrs) -> Span:
+        """Fresh run: :meth:`reset`, then open the algorithm span."""
+        self.reset()
         return self.tracer.open(
             name, "algorithm", self.clock,
             {
@@ -217,24 +246,149 @@ class ShardedCluster:
             },
         )
 
-    def close_algorithm(self) -> None:
-        """Close the algorithm span at the current cluster clock."""
-        self.tracer.close(self.clock)
+    def seed(self, source: int) -> list[np.ndarray]:
+        """Per-GPU frontiers holding only ``source``, on its owner."""
+        if not 0 <= source < self.num_nodes:
+            raise IndexError(f"source {source} out of range")
+        owner = int(self.partition.owner(np.array([source]))[0])
+        return [
+            np.array([source], dtype=np.int64) if g == owner else
+            np.empty(0, dtype=np.int64)
+            for g in range(self.num_gpus)
+        ]
 
-    @contextmanager
-    def level(self, name: str, **attrs) -> Iterator[Span]:
-        """One bulk-synchronous level span over the cluster clock."""
-        span = self.tracer.open(name, "level", self.clock, attrs)
-        try:
-            yield span
-        finally:
-            self.tracer.close(self.clock)
+    def finish(self, algorithm: str, edges: int) -> dict:
+        """End the run; return the :class:`DistResult` fields.
+
+        Sets the end-of-run gauges and closes the algorithm span.  The
+        exchange totals are summed over :attr:`charges` in level order,
+        the overlap total is the ``dist.overlapped_seconds`` counter.
+        """
+        m = self.metrics
+        m.set_gauge("dist.sim_seconds", self.clock)
+        m.set_gauge("dist.num_gpus", float(self.num_gpus))
+        m.set_gauge("dist.num_nodes", float(self.topology.num_nodes))
+        m.set_gauge("dist.overlap", float(self.overlap))
+        if self.clock > 0:
+            m.set_gauge(f"{algorithm}.gteps", edges / self.clock / 1e9)
+        wire = m.counters.get("dist.wire_bytes", 0.0)
+        if edges:
+            m.set_gauge("dist.wire_bytes_per_edge", wire / edges)
+        self.tracer.close(self.clock)
+        exchanges = [c.exchange for c in self.charges]
+        # A loop, not sum(): float sum() is compensated from Python 3.12
+        # on, which would move the last bits against the level clock.
+        exchange_seconds = 0.0
+        for ex in exchanges:
+            exchange_seconds += ex.seconds
+        return {
+            "exchanged_bytes": sum(ex.wire_bytes for ex in exchanges),
+            "exchange_seconds": exchange_seconds,
+            "overlapped_seconds": m.counters.get(
+                "dist.overlapped_seconds", 0.0
+            ),
+            "sim_seconds": self.clock,
+            "num_gpus": self.num_gpus,
+            "wire": self.codec.name,
+            "schedule": self.schedule,
+            "messages": sum(ex.messages for ex in exchanges),
+            "cluster": self,
+        }
 
     # -- the shared per-level steps ---------------------------------------
 
-    def gpu_seconds(self, gpu: int) -> float:
-        """Engine clock of one shard (for before/after deltas)."""
-        return self.backends[gpu].engine.elapsed_seconds
+    def step(
+        self,
+        name: str,
+        level: int,
+        local: Callable[[int], tuple[np.ndarray, np.ndarray | None] | None],
+        claim: Callable[
+            [int, KernelLaunch, np.ndarray, np.ndarray | None], float
+        ],
+        *,
+        kernels: tuple[str, str],
+        tally: str,
+        combine: str | None = None,
+        frontier_size: int | None = None,
+        sync_seconds: float = 0.0,
+        sync_record: dict | None = None,
+    ) -> tuple[int, float]:
+        """Run one bulk-synchronous level; return ``(edges, tally)``.
+
+        ``local(g)`` is GPU ``g``'s local phase: it launches its own
+        kernels (the expand kernel is ``kernels[0]``) and returns the
+        ids it discovered — with one value each, folded by ``combine``,
+        when the exchange carries values — or ``None`` when it has
+        nothing to send.  The ids are packed and exchanged, then
+        ``claim(g, kernel, ids, values)`` runs inside GPU ``g``'s
+        ``kernels[1]`` launch after the unpack charge.  Each phase
+        costs its slowest GPU.  The claims' return values, summed in
+        GPU order, annotate the level as ``tally``; ``edges`` counts
+        the discovered ids.  A given ``frontier_size`` is observed and
+        recorded on the level span.
+        """
+        attrs = {"level": level}
+        if frontier_size is not None:
+            self.metrics.observe("dist.frontier_size", frontier_size)
+            attrs["frontier_size"] = frontier_size
+        span = self.tracer.open(name, "level", self.clock, attrs)
+        try:
+            outgoing: list[list[np.ndarray]] = []
+            out_values: list[list[np.ndarray] | None] = []
+            expand_seconds = 0.0
+            edges = 0
+            for g, backend in enumerate(self.backends):
+                before = backend.engine.elapsed_seconds
+                found = local(g)
+                if found is None:
+                    buckets = [np.empty(0, dtype=np.int64)] * self.num_gpus
+                    values = [np.empty(0, dtype=np.float64)] * self.num_gpus
+                else:
+                    edges += int(found[0].shape[0])
+                    buckets, values = self.pack(
+                        g, found[0], values=found[1], combine=combine
+                    )
+                outgoing.append(buckets)
+                out_values.append(values)
+                expand_seconds = max(
+                    expand_seconds, backend.engine.elapsed_seconds - before
+                )
+
+            incoming, in_values, ex = self.exchange_buckets(
+                outgoing,
+                values=out_values if combine is not None else None,
+                combine=combine,
+            )
+
+            claim_seconds = 0.0
+            total = 0
+            for g, backend in enumerate(self.backends):
+                engine = backend.engine
+                before = engine.elapsed_seconds
+                with engine.launch(kernels[1]) as k:
+                    self.charge_unpack(k, g, ex)
+                    total += claim(
+                        g, k, incoming[g],
+                        None if in_values is None else in_values[g],
+                    )
+                claim_seconds = max(
+                    claim_seconds, engine.elapsed_seconds - before
+                )
+            self.finish_level(
+                span,
+                expand_seconds,
+                ex,
+                claim_seconds,
+                sync_seconds=sync_seconds,
+                sync_record=sync_record,
+                expand_kernel=kernels[0],
+                claim_kernel=kernels[1],
+                edges_expanded=edges,
+                **{tally: total},
+            )
+        finally:
+            self.tracer.close(self.clock)
+        return edges, total
 
     def pack(
         self,
@@ -365,17 +519,16 @@ class ShardedCluster:
         expand_kernel: str = "",
         claim_kernel: str = "",
         **annotations,
-    ) -> tuple[float, float]:
+    ) -> None:
         """Price one level, advance the clock, record and annotate it.
 
-        The shared tail of every driver's level: compute the level's
-        wall-clock via :meth:`level_seconds` (overlap-aware), advance
-        the cluster clock (plus any serial post-level ``sync_seconds``,
-        e.g. PageRank's scalar allreduce), append the
-        :class:`LevelCharge` the replay engines consume, and attach the
-        canonical annotations (:func:`repro.dist.report.
-        level_annotations`) plus any driver-specific ``annotations`` to
-        the level span.  Returns ``(total, overlapped)`` seconds.
+        The tail of :meth:`step`: compute the level's wall-clock via
+        :meth:`level_seconds` (overlap-aware), advance the cluster
+        clock (plus any serial post-level ``sync_seconds``, e.g.
+        PageRank's scalar allreduce), append the :class:`LevelCharge`
+        the replay engines consume, and attach the canonical
+        annotations (:func:`repro.dist.report.level_annotations`) plus
+        any driver-specific ``annotations`` to the level span.
         """
         # Function-level import: report imports this module at top level.
         from repro.dist.report import level_annotations
@@ -409,7 +562,6 @@ class ShardedCluster:
             ),
             **annotations,
         )
-        return total, overlapped
 
     @staticmethod
     def level_bound(
@@ -425,16 +577,3 @@ class ShardedCluster:
             "claim": claim_seconds,
         }
         return max(terms.items(), key=lambda kv: kv[1])[0]
-
-    def finish_run(self, edges: int, algorithm: str) -> None:
-        """End-of-run gauges shared by every driver."""
-        m = self.metrics
-        m.set_gauge("dist.sim_seconds", self.clock)
-        m.set_gauge("dist.num_gpus", float(self.num_gpus))
-        m.set_gauge("dist.num_nodes", float(self.topology.num_nodes))
-        m.set_gauge("dist.overlap", float(self.overlap))
-        if self.clock > 0:
-            m.set_gauge(f"{algorithm}.gteps", edges / self.clock / 1e9)
-        wire = self.metrics.counters.get("dist.wire_bytes", 0.0)
-        if edges:
-            m.set_gauge("dist.wire_bytes_per_edge", wire / edges)

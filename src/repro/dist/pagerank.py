@@ -1,10 +1,10 @@
 """Distributed push-style PageRank with a sum-combining exchange.
 
-Every iteration every vertex is active: each GPU pushes
-``rank[v] / deg[v]`` along its owned out-lists, pre-aggregates the
-partial sums per destination in the pack kernel, and the exchange
-delivers ``(vertex, partial mass)`` pairs to the owners — ids through
-the wire codec, masses uncompressed at 4 bytes each, duplicates folded
+Every iteration every vertex is active, one ``ShardedCluster.step`` per
+iteration: each GPU pushes ``rank[v] / deg[v]`` along its owned
+out-lists, the pack kernel pre-aggregates the partial sums per
+destination, and the exchange delivers ``(vertex, partial mass)`` pairs
+to the owners — masses uncompressed at 4 bytes each, duplicates folded
 with ``sum``.  The per-destination pre-aggregation is the classic
 communication optimisation: the wire carries at most one entry per
 (sender, destination vertex) pair instead of one per edge.
@@ -21,11 +21,11 @@ not bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dist.cluster import ShardedCluster
+from repro.dist.cluster import DistResult, ShardedCluster
 from repro.dist.wire import MESSAGE_HEADER_BYTES
 
 __all__ = ["DistPageRankResult", "distributed_pagerank"]
@@ -35,35 +35,15 @@ MASS_VALUE_BYTES = 4
 
 
 @dataclass(frozen=True)
-class DistPageRankResult:
+class DistPageRankResult(DistResult):
     """Outcome of one distributed PageRank run."""
+
+    EDGES = "edges_processed"
 
     ranks: np.ndarray
     iterations: int
     edges_processed: int
-    exchanged_bytes: int
-    exchange_seconds: float
-    #: Exchange time hidden under the push phase by the overlap pipeline.
-    overlapped_seconds: float
-    sim_seconds: float
     converged: bool
-    num_gpus: int
-    wire: str
-    schedule: str
-    messages: int
-    cluster: ShardedCluster = field(repr=False)
-
-    @property
-    def runtime_ms(self) -> float:
-        """Simulated runtime in milliseconds."""
-        return self.sim_seconds * 1e3
-
-    @property
-    def gteps(self) -> float:
-        """Billions of edges processed per simulated second."""
-        if self.sim_seconds <= 0:
-            return 0.0
-        return self.edges_processed / self.sim_seconds / 1e9
 
 
 def distributed_pagerank(
@@ -75,11 +55,9 @@ def distributed_pagerank(
     """PageRank with uniform teleport across the cluster's shards."""
     if not 0 < damping < 1:
         raise ValueError(f"damping must be in (0, 1), got {damping}")
-    cluster.reset()
     nv = cluster.num_nodes
     num_gpus = cluster.num_gpus
     partition = cluster.partition
-    topology = cluster.topology
     for b in cluster.backends:
         b.engine.memory.register("work:rank2", 4 * nv, priority=-1)
 
@@ -93,10 +71,6 @@ def distributed_pagerank(
 
     ranks = np.full(nv, 1.0 / nv, dtype=np.float64)
     edges_processed = 0
-    exchanged_bytes = 0
-    exchange_seconds = 0.0
-    overlapped_seconds = 0.0
-    messages = 0
     converged = False
     cached: list[tuple[np.ndarray, np.ndarray] | None] = [None] * num_gpus
 
@@ -104,7 +78,7 @@ def distributed_pagerank(
     scalar_bytes = np.full(
         num_gpus, (8.0 + MESSAGE_HEADER_BYTES) * (num_gpus - 1)
     )
-    allreduce_seconds = topology.step_seconds(
+    allreduce_seconds = cluster.topology.step_seconds(
         scalar_bytes, scalar_bytes, max(num_gpus - 1, 0)
     )
     # Step-record-shaped pricing inputs so the what-if engine can
@@ -117,113 +91,60 @@ def distributed_pagerank(
         }
     }
 
-    cluster.open_algorithm(
+    def push(g: int):
+        backend = cluster.backends[g]
+        with backend.engine.launch("dist_pr_push") as k:
+            if cached[g] is None:
+                nbrs, seg = backend.expand(owned[g], k)
+                cached[g] = (nbrs, seg)
+            else:
+                nbrs, seg = cached[g]
+                # Re-charge the identical decode traffic; the functional
+                # decode is reused across iterations because the shard
+                # is static.
+                backend.charge_expand(owned[g], nbrs, k)
+            src = owned[g][seg]
+            contrib = ranks[src] / out_deg_safe[src]
+            k.read_stream("work:rank2", nbrs, 4)
+            k.instructions(4.0 * nbrs.shape[0])
+        return nbrs, contrib
+
+    def finalize(g: int, k, ids: np.ndarray, mass: np.ndarray) -> float:
+        lo, hi = partition.bounds(g)
+        acc = np.zeros(hi - lo, dtype=np.float64)
+        if ids.size:
+            acc[ids - lo] = mass
+        new_ranks[lo:hi] = (1 - damping) / nv + damping * (acc + dangling_mass)
+        k.read("work:labels", hi - lo, 4)
+        k.write("work:rank2", hi - lo, 4)
+        k.instructions(4.0 * (hi - lo))
+        return float(np.abs(new_ranks[lo:hi] - ranks[lo:hi]).sum())
+
+    cluster.start(
         "dist_pagerank", damping=damping, max_iterations=max_iterations
     )
     it = 0
     for it in range(1, max_iterations + 1):
-        with cluster.level(f"iteration:{it}", level=it) as sp:
-            outgoing: list[list[np.ndarray]] = []
-            out_values: list[list[np.ndarray]] = []
-            push_seconds = 0.0
-            level_edges = 0
-            for g in range(num_gpus):
-                backend = cluster.backends[g]
-                engine = backend.engine
-                before = engine.elapsed_seconds
-                with engine.launch("dist_pr_push") as k:
-                    if cached[g] is None:
-                        nbrs, seg = backend.expand(owned[g], k)
-                        cached[g] = (nbrs, seg)
-                    else:
-                        nbrs, seg = cached[g]
-                        # Re-charge the identical decode traffic; the
-                        # functional decode is reused across iterations
-                        # because the shard is static.
-                        backend.charge_expand(owned[g], nbrs, k)
-                    src = owned[g][seg]
-                    contrib = ranks[src] / out_deg_safe[src]
-                    k.read_stream("work:rank2", nbrs, 4)
-                    k.instructions(4.0 * nbrs.shape[0])
-                level_edges += int(nbrs.shape[0])
-                buckets, val_buckets = cluster.pack(
-                    g, nbrs, values=contrib, combine="sum"
-                )
-                outgoing.append(buckets)
-                out_values.append(val_buckets)
-                push_seconds = max(
-                    push_seconds, engine.elapsed_seconds - before
-                )
-            edges_processed += level_edges
-
-            incoming, in_values, ex = cluster.exchange_buckets(
-                outgoing, values=out_values, combine="sum"
-            )
-            exchanged_bytes += ex.wire_bytes
-            exchange_seconds += ex.seconds
-            messages += ex.messages
-
-            dangling_mass = ranks[dangling].sum() / nv
-            finalize_seconds = 0.0
-            new_ranks = np.zeros(nv, dtype=np.float64)
-            delta = 0.0
-            for g in range(num_gpus):
-                engine = cluster.backends[g].engine
-                before = engine.elapsed_seconds
-                lo, hi = partition.bounds(g)
-                with engine.launch("dist_pr_finalize") as k:
-                    cluster.charge_unpack(k, g, ex)
-                    ids = incoming[g]
-                    acc = np.zeros(hi - lo, dtype=np.float64)
-                    if ids.size:
-                        acc[ids - lo] = in_values[g]
-                    new_ranks[lo:hi] = (
-                        (1 - damping) / nv
-                        + damping * (acc + dangling_mass)
-                    )
-                    delta += float(
-                        np.abs(new_ranks[lo:hi] - ranks[lo:hi]).sum()
-                    )
-                    k.read("work:labels", hi - lo, 4)
-                    k.write("work:rank2", hi - lo, 4)
-                    k.instructions(4.0 * (hi - lo))
-                finalize_seconds = max(
-                    finalize_seconds, engine.elapsed_seconds - before
-                )
-            ranks = new_ranks
-            # The scalar allreduce needs the finalized ranks: serial
-            # sync_seconds on top of the (possibly overlapped) level.
-            _, overlapped = cluster.finish_level(
-                sp,
-                push_seconds,
-                ex,
-                finalize_seconds,
-                sync_seconds=allreduce_seconds,
-                sync_record=allreduce_record,
-                expand_kernel="dist_pr_push",
-                claim_kernel="dist_pr_finalize",
-                edges_expanded=level_edges,
-                rank_delta=delta,
-            )
-            overlapped_seconds += overlapped
+        dangling_mass = ranks[dangling].sum() / nv
+        new_ranks = np.zeros(nv, dtype=np.float64)
+        # The scalar allreduce needs the finalized ranks: serial
+        # sync_seconds on top of the (possibly overlapped) level.
+        edges, delta = cluster.step(
+            f"iteration:{it}", it, push, finalize,
+            kernels=("dist_pr_push", "dist_pr_finalize"), tally="rank_delta",
+            combine="sum",
+            sync_seconds=allreduce_seconds, sync_record=allreduce_record,
+        )
+        edges_processed += edges
+        ranks = new_ranks
         if delta < tolerance:
             converged = True
             break
-    cluster.finish_run(edges_processed, "dist_pagerank")
-    cluster.close_algorithm()
 
     return DistPageRankResult(
         ranks=ranks,
         iterations=it,
         edges_processed=edges_processed,
-        exchanged_bytes=exchanged_bytes,
-        exchange_seconds=exchange_seconds,
-        overlapped_seconds=overlapped_seconds,
-        sim_seconds=cluster.clock,
         converged=converged,
-        num_gpus=num_gpus,
-        wire=cluster.codec.name,
-        schedule=cluster.schedule,
-        messages=messages,
-        cluster=cluster,
+        **cluster.finish("dist_pagerank", edges_processed),
     )

@@ -1,20 +1,20 @@
 """Per-link cost model for the inter-GPU frontier exchange.
 
-The original ``multi_gpu_bfs`` divided the *total* wire bytes of an
-all-to-all by a single link's bandwidth — as if every transfer
-serialized through one pipe no matter how many GPUs participate.  Real
-exchanges overlap: each GPU owns one (full-duplex) link, its egress
-traffic serializes on that link while its ingress serializes on the
-receive side, and only the *shared* host fabric (PCIe switches, host
-bridges) couples the flows.  A bulk-synchronous exchange step therefore
-finishes when the busiest link drains:
+A single-pipe model divides the *total* wire bytes of an all-to-all by
+one link's bandwidth — as if every transfer serialized through one pipe
+no matter how many GPUs participate.  Real exchanges overlap: each GPU
+owns one (full-duplex) link, its egress traffic serializes on that link
+while its ingress serializes on the receive side, and only the *shared*
+host fabric (PCIe switches, host bridges) couples the flows.  A
+bulk-synchronous exchange step therefore finishes when the busiest link
+drains:
 
 ``step = max_g(max(egress_g, ingress_g)) / bw``, lower-bounded by the
 contended fabric term ``contention * total_bytes / bw``, plus a fixed
 latency per message each GPU must post.
 
 ``contention`` interpolates between the two regimes: ``0`` is a perfect
-per-link switch (NVLink-style point-to-point), ``1`` reproduces the old
+per-link switch (NVLink-style point-to-point), ``1`` reproduces the
 single-pipe model (every byte crosses one shared bus — the workstation
 PCIe tree the paper's Titan Xp lives on is closer to this end).
 

@@ -17,7 +17,22 @@ import numpy as np
 
 from repro.formats.graph import Graph
 
-__all__ = ["generate_edge_weights", "weights_nbytes"]
+__all__ = ["check_weights", "generate_edge_weights", "weights_nbytes"]
+
+
+def check_weights(
+    weights: np.ndarray, num_arcs: int, algorithm: str
+) -> np.ndarray:
+    """``weights`` as float32, validated as one non-negative per arc.
+
+    Raises ValueError naming ``algorithm`` on a negative weight.
+    """
+    weights = np.asarray(weights, dtype=np.float32)
+    if weights.shape[0] != num_arcs:
+        raise ValueError("one weight per stored arc required")
+    if weights.size and weights.min() < 0:
+        raise ValueError(f"{algorithm} requires non-negative weights")
+    return weights
 
 
 def generate_edge_weights(graph: Graph, seed: int = 0) -> np.ndarray:

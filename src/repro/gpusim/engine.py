@@ -10,8 +10,9 @@ profiling-style reports — mirroring how one reads an ``nvprof`` trace.
 The engine is also the root of the telemetry layer (:mod:`repro.obs`):
 every engine carries a :class:`~repro.obs.spans.Tracer` building the
 ``run -> algorithm -> level -> kernel`` span hierarchy (:meth:`launch`
-opens kernel spans itself; drivers open the outer layers via
-:meth:`span`) and a :class:`~repro.obs.metrics.MetricsRegistry` of
+opens kernel spans itself; traversal drivers open the outer layers via
+:meth:`traversal` and its :meth:`TraversalScope.level`) and a
+:class:`~repro.obs.metrics.MetricsRegistry` of
 counters/gauges/histograms.  :meth:`sample` records named time series
 (frontier size, cache hit rate) that the Perfetto exporter turns into
 counter tracks.  All of it keys off the simulated clock, so identical
@@ -29,10 +30,10 @@ from repro.gpusim.cost import CostModel, CostParams, KernelCost
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.kernel import KernelLaunch
 from repro.gpusim.memory import MemoryManager
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, bytes_per_edge
 from repro.obs.spans import Span, Tracer
 
-__all__ = ["LaunchRecord", "SimEngine"]
+__all__ = ["LaunchRecord", "SimEngine", "TraversalScope"]
 
 
 @dataclass(frozen=True)
@@ -127,6 +128,31 @@ class SimEngine:
         span = self.tracer.open(name, kind, self._elapsed, attrs)
         try:
             yield span
+        finally:
+            self.tracer.close(self._elapsed)
+
+    @contextmanager
+    def traversal(
+        self,
+        name: str,
+        frontier_metric: str | None = None,
+        bytes_gauge: str | None = None,
+        **attrs,
+    ) -> Iterator["TraversalScope"]:
+        """The algorithm span of one single-GPU traversal run.
+
+        Yields the run's :class:`TraversalScope`; on exit sets
+        ``bytes_gauge`` (when given) to the off-chip bytes moved per
+        edge the driver counted, then closes the span.
+        """
+        self.tracer.open(name, "algorithm", self._elapsed, attrs)
+        scope = TraversalScope(self, frontier_metric)
+        try:
+            yield scope
+            if bytes_gauge is not None:
+                self.metrics.set_gauge(
+                    bytes_gauge, bytes_per_edge(self, scope.edges)
+                )
         finally:
             self.tracer.close(self._elapsed)
 
@@ -270,3 +296,41 @@ class SimEngine:
 
         lines.append(critpath_report_line(extract_critical_path(self)))
         return "\n".join(lines)
+
+
+class TraversalScope:
+    """Level scaffold of one :meth:`SimEngine.traversal` run.
+
+    Drivers add the edges they count (the GTEPS numerator) to
+    :attr:`edges` and wrap each level's kernels in :meth:`level`.
+    """
+
+    def __init__(self, engine: SimEngine, frontier_metric: str | None) -> None:
+        self.engine = engine
+        self.frontier_metric = frontier_metric
+        self.edges = 0
+
+    @contextmanager
+    def level(
+        self, name: str, level: int, frontier_size: int | None = None, **attrs
+    ) -> Iterator[Span]:
+        """One level span.
+
+        A given ``frontier_size`` is observed into the run's frontier
+        histogram, sampled as the ``frontier_size`` series and recorded
+        as a span attribute.  After the driver's own annotations the
+        span gets the level's per-array traffic (``arrays``,
+        ``top_array``).
+        """
+        # Function-level import: repro.obs.counters imports gpusim.
+        from repro.obs.counters import arrays_since
+
+        engine = self.engine
+        if frontier_size is not None:
+            engine.metrics.observe(self.frontier_metric, frontier_size)
+            engine.sample("frontier_size", frontier_size)
+            attrs = {"frontier_size": frontier_size, **attrs}
+        start = engine.num_launches
+        with engine.span(name, "level", level=level, **attrs) as span:
+            yield span
+            span.annotate(**arrays_since(engine, start))

@@ -12,7 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["radix_sort", "partial_radix_sort_key", "partial_sort_frontier"]
+__all__ = [
+    "radix_sort",
+    "partial_radix_sort_key",
+    "partial_sort_frontier",
+    "sort_frontier_kernel",
+]
 
 
 def radix_sort(keys: np.ndarray, num_bits: int | None = None) -> np.ndarray:
@@ -92,3 +97,29 @@ def partial_sort_frontier(
     masked = partial_radix_sort_key(frontier, total_bits, fraction)
     order = np.argsort(masked, kind="stable")
     return frontier[order]
+
+
+def sort_frontier_kernel(
+    engine,
+    kernel: str,
+    frontier: np.ndarray,
+    num_nodes: int,
+    fraction: float,
+    id_bytes: int,
+) -> np.ndarray:
+    """Partially sort ``frontier`` in a ``kernel`` launch on ``engine``.
+
+    The launch is charged as CUB's radix sort over the kept digit
+    range: each 8-bit pass reads and scatters every ``id_bytes``-wide
+    key.  A frontier of at most one vertex is returned as is, with no
+    launch.
+    """
+    if frontier.shape[0] <= 1:
+        return frontier
+    with engine.launch(kernel) as k:
+        frontier = partial_sort_frontier(frontier, num_nodes, fraction)
+        kept_bits = max(1, int(round(np.log2(max(num_nodes, 2)) * fraction)))
+        passes = -(-kept_bits // 8)
+        k.read("work:frontier", 2 * passes * frontier.shape[0], id_bytes)
+        k.instructions(8.0 * passes * frontier.shape[0])
+    return frontier

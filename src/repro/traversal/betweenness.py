@@ -18,23 +18,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.traversal.backends import GraphBackend
+from repro.traversal.result import Timed
 
 __all__ = ["BetweennessResult", "betweenness_centrality"]
 
 
 @dataclass(frozen=True)
-class BetweennessResult:
+class BetweennessResult(Timed):
     """Outcome of a (sampled) betweenness run."""
 
     scores: np.ndarray
     num_sources: int
     edges_traversed: int
     sim_seconds: float
-
-    @property
-    def runtime_ms(self) -> float:
-        """Simulated runtime in milliseconds."""
-        return self.sim_seconds * 1e3
 
 
 def betweenness_centrality(

@@ -19,23 +19,19 @@ import numpy as np
 
 from repro.primitives.compact import atomic_or_claim
 from repro.traversal.backends import GraphBackend
+from repro.traversal.result import Timed
 
 __all__ = ["ComponentsResult", "connected_components", "connected_components_lp"]
 
 
 @dataclass(frozen=True)
-class ComponentsResult:
+class ComponentsResult(Timed):
     """Outcome of a connected-components run."""
 
     labels: np.ndarray
     num_components: int
     edges_traversed: int
     sim_seconds: float
-
-    @property
-    def runtime_ms(self) -> float:
-        """Simulated runtime in milliseconds."""
-        return self.sim_seconds * 1e3
 
     def component_sizes(self) -> np.ndarray:
         """Vertex count per component label."""

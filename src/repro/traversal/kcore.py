@@ -17,12 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.traversal.backends import GraphBackend
+from repro.traversal.result import Timed
 
 __all__ = ["KCoreResult", "kcore_decomposition"]
 
 
 @dataclass(frozen=True)
-class KCoreResult:
+class KCoreResult(Timed):
     """Outcome of a k-core decomposition."""
 
     core_numbers: np.ndarray
@@ -30,11 +31,6 @@ class KCoreResult:
     peel_rounds: int
     edges_traversed: int
     sim_seconds: float
-
-    @property
-    def runtime_ms(self) -> float:
-        """Simulated runtime in milliseconds."""
-        return self.sim_seconds * 1e3
 
     def k_core_members(self, k: int) -> np.ndarray:
         """Vertices whose core number is at least ``k``."""

@@ -40,10 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.listcache import CacheStats
-from repro.obs.counters import arrays_since
-from repro.obs.metrics import bytes_per_edge
 from repro.primitives.bitops import popcount_u64
 from repro.traversal.backends import GraphBackend
+from repro.traversal.result import Throughput
 
 __all__ = ["MSBFSResult", "msbfs", "MAX_SOURCES"]
 
@@ -56,7 +55,7 @@ MASK_INSTR_PER_EDGE = 6.0
 
 
 @dataclass(frozen=True)
-class MSBFSResult:
+class MSBFSResult(Throughput):
     """Outcome of one bit-parallel multi-source BFS batch.
 
     ``levels[s, v]`` is the BFS level of vertex ``v`` from
@@ -83,13 +82,6 @@ class MSBFSResult:
     def num_sources(self) -> int:
         """Number of requested sources (queries); duplicates included."""
         return int(self.sources.shape[0])
-
-    @property
-    def gteps(self) -> float:
-        """Billions of per-source traversed edges per simulated second."""
-        if self.sim_seconds <= 0:
-            return 0.0
-        return self.edges_traversed / self.sim_seconds / 1e9
 
     @property
     def seconds_per_source(self) -> float:
@@ -186,83 +178,79 @@ def msbfs(
     lane_levels[np.arange(num_lanes), lanes] = 0
 
     depth = 0
-    edges_traversed = 0
     cap = max_levels if max_levels is not None else nv
-    engine.tracer.open(
-        "msbfs", "algorithm", engine.elapsed_seconds,
-        {"num_sources": num_queries, "num_lanes": num_lanes},
-    )
-    while depth < cap:
-        active = np.flatnonzero(frontier_mask)
-        if active.size == 0:
-            break
-        engine.metrics.observe("msbfs.union_frontier_size", active.size)
-        engine.sample("frontier_size", active.size)
+    with engine.traversal(
+        "msbfs", "msbfs.union_frontier_size", "msbfs.bytes_per_edge",
+        num_sources=num_queries, num_lanes=num_lanes,
+    ) as run:
+        while depth < cap:
+            active = np.flatnonzero(frontier_mask)
+            if active.size == 0:
+                break
+            with run.level(
+                f"level:{depth}", depth, frontier_size=int(active.size)
+            ) as sp:
+                with engine.launch("msbfs_expand") as k:
+                    nbrs, seg = backend.expand(active, k)
+                    # Candidate visited-mask probe: one 8 B word per
+                    # edge, the 64-source analogue of BFS's 1 B
+                    # visited-flag probe.
+                    k.read_stream("work:visited_mask", nbrs, 8)
+                # Every decoded edge carries the masks of all lanes whose
+                # frontier contains its origin — each (source, edge) pair
+                # the sequential runs would traverse separately.  A lane
+                # serving m coalesced queries counts its edges m times:
+                # that is the work m sequential runs would have done.
+                # Counted per active vertex: its lane count times its
+                # edges this level.
+                active_masks = frontier_mask[active]
+                src_per_edge = active_masks[seg]
+                out_edges = np.bincount(seg, minlength=active.size)
+                level_edges = int(
+                    (popcount_u64(active_masks) * out_edges).sum()
+                )
+                for s in dup_lanes.tolist():
+                    in_lane = (active_masks >> np.uint64(s)) & np.uint64(1)
+                    lane_edges = int(out_edges[in_lane > 0].sum())
+                    level_edges += (int(lane_counts[s]) - 1) * lane_edges
+                run.edges += level_edges
 
-        level_start = engine.num_launches
-        with engine.span(
-            f"level:{depth}", "level",
-            level=depth, frontier_size=int(active.size),
-        ) as sp:
-            with engine.launch("msbfs_expand") as k:
-                nbrs, seg = backend.expand(active, k)
-                # Candidate visited-mask probe: one 8 B word per edge, the
-                # 64-source analogue of BFS's 1 B visited-flag probe.
-                k.read_stream("work:visited_mask", nbrs, 8)
-            # Every decoded edge carries the masks of all lanes whose
-            # frontier contains its origin — each (source, edge) pair the
-            # sequential runs would traverse separately.  A lane serving
-            # m coalesced queries counts its edges m times: that is the
-            # work m sequential runs would have done.  Counted per active
-            # vertex: its lane count times its edges this level.
-            active_masks = frontier_mask[active]
-            src_per_edge = active_masks[seg]
-            out_edges = np.bincount(seg, minlength=active.size)
-            level_edges = int((popcount_u64(active_masks) * out_edges).sum())
-            for s in dup_lanes.tolist():
-                in_lane = (active_masks >> np.uint64(s)) & np.uint64(1)
-                lane_edges = int(out_edges[in_lane > 0].sum())
-                level_edges += (int(lane_counts[s]) - 1) * lane_edges
-            edges_traversed += level_edges
-
-            with engine.launch("msbfs_update") as k:
-                next_mask = np.zeros(nv, dtype=np.uint64)
-                np.bitwise_or.at(next_mask, nbrs, src_per_edge)
-                new_bits = next_mask & ~visited
-                visited |= new_bits
-                depth += 1
-                changed = np.flatnonzero(new_bits)
-                for s in range(num_lanes):
-                    reached = changed[
-                        (new_bits[changed] >> np.uint64(s)) & np.uint64(1) > 0
-                    ]
-                    lane_levels[s, reached] = depth
-                frontier_mask = new_bits
-                # One 64-wide OR propagates all lanes per edge; the update
-                # is an atomic RMW on the candidate's frontier word.
-                k.bitmask_ops(nbrs.shape[0])
-                k.instructions(MASK_INSTR_PER_EDGE * nbrs.shape[0])
-                k.atomic("work:frontier_mask", int(nbrs.shape[0]), 8)
-                # New frontier + level writes, one word per changed vertex.
-                k.write("work:frontier_mask", int(changed.shape[0]), 8)
-                k.write("work:mslevels", int(changed.shape[0]), 4)
-            sp.annotate(
-                edges_expanded=int(nbrs.shape[0]),
-                source_edges=level_edges,
-                claimed=int(changed.shape[0]),
-                **arrays_since(engine, level_start),
-            )
-    engine.metrics.set_gauge(
-        "msbfs.bytes_per_edge", bytes_per_edge(engine, edges_traversed)
-    )
-    engine.tracer.close(engine.elapsed_seconds)
+                with engine.launch("msbfs_update") as k:
+                    next_mask = np.zeros(nv, dtype=np.uint64)
+                    np.bitwise_or.at(next_mask, nbrs, src_per_edge)
+                    new_bits = next_mask & ~visited
+                    visited |= new_bits
+                    depth += 1
+                    changed = np.flatnonzero(new_bits)
+                    for s in range(num_lanes):
+                        reached = changed[
+                            (new_bits[changed] >> np.uint64(s))
+                            & np.uint64(1) > 0
+                        ]
+                        lane_levels[s, reached] = depth
+                    frontier_mask = new_bits
+                    # One 64-wide OR propagates all lanes per edge; the
+                    # update is an atomic RMW on the candidate's
+                    # frontier word.
+                    k.bitmask_ops(nbrs.shape[0])
+                    k.instructions(MASK_INSTR_PER_EDGE * nbrs.shape[0])
+                    k.atomic("work:frontier_mask", int(nbrs.shape[0]), 8)
+                    # New frontier + level writes, one word per changed
+                    # vertex.
+                    k.write("work:frontier_mask", int(changed.shape[0]), 8)
+                    k.write("work:mslevels", int(changed.shape[0]), 4)
+                sp.annotate(
+                    edges_expanded=int(nbrs.shape[0]),
+                    source_edges=level_edges,
+                    claimed=int(changed.shape[0]),
+                )
 
     return MSBFSResult(
         sources=sources,
         levels=lane_levels[inverse],
         num_levels=int(lane_levels.max()) + 1,
         num_lanes=num_lanes,
-        edges_traversed=edges_traversed,
+        edges_traversed=run.edges,
         lists_decoded=backend.lists_decoded - lists_decoded_before,
         sim_seconds=engine.elapsed_seconds - t_start,
         cache_stats=backend.cache.stats if backend.cache is not None else None,

@@ -26,22 +26,18 @@ import numpy as np
 from repro.core.efg import csr_gather_indices
 from repro.formats.graph import Graph
 from repro.traversal.backends import GraphBackend
+from repro.traversal.result import Timed
 
 __all__ = ["TriangleCountResult", "triangle_count"]
 
 
 @dataclass(frozen=True)
-class TriangleCountResult:
+class TriangleCountResult(Timed):
     """Outcome of one triangle-counting run."""
 
     triangles: int
     wedges_checked: int
     sim_seconds: float
-
-    @property
-    def runtime_ms(self) -> float:
-        """Simulated runtime in milliseconds."""
-        return self.sim_seconds * 1e3
 
 
 def _oriented(graph: Graph) -> Graph:

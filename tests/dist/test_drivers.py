@@ -18,6 +18,7 @@ from repro.dist import (
     distributed_sssp,
 )
 from repro.dist.report import dist_report, dist_run_metrics
+from repro.dist.topology import LinkTopology
 from repro.formats.csr import CSRGraph
 from repro.gpusim.device import TITAN_XP
 from repro.obs.metrics import METRICS_SCHEMA
@@ -51,6 +52,33 @@ def weights(graph):
     return rng.uniform(0.1, 1.0, size=graph.num_edges).astype(np.float32)
 
 
+#: Cluster layouts the run-total checks cover: one flat 4-GPU node, and
+#: 2 nodes x 4 GPUs with the hierarchical schedule and async overlap.
+LAYOUTS = ("flat", "hierarchical")
+
+
+def _layout_cluster(graph, device, layout, **kw):
+    if layout == "flat":
+        return ShardedCluster.build(graph, NUM_GPUS, device, **kw)
+    topology = LinkTopology.two_tier(
+        2, 4, message_latency_s=device.launch_overhead_s
+    )
+    return ShardedCluster.build(
+        graph, 8, device, wire="ef", schedule="hierarchical",
+        topology=topology, overlap=True, **kw,
+    )
+
+
+def _assert_totals_match_charges(result, cluster):
+    """A result's exchange totals are the run's recorded charges."""
+    counters = cluster.metrics.counters
+    charged = sum(c.exchange.wire_bytes for c in cluster.charges)
+    assert result.exchanged_bytes == charged
+    assert result.exchanged_bytes == counters["dist.wire_bytes"]
+    assert result.messages == counters["dist.messages"]
+    assert result.exchanged_bytes > 0 and result.messages > 0
+
+
 class TestBFSEquivalence:
     @pytest.mark.parametrize("schedule", ["flat", "butterfly"])
     @pytest.mark.parametrize(
@@ -77,6 +105,15 @@ class TestBFSEquivalence:
         sorted_r = distributed_bfs(cluster, SOURCE, partial_sort=True)
         unsorted_r = distributed_bfs(cluster, SOURCE, partial_sort=False)
         assert np.array_equal(sorted_r.levels, unsorted_r.levels)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_totals_match_recorded_charges(
+        self, graph, device, single_gpu_levels, layout
+    ):
+        cluster = _layout_cluster(graph, device, layout)
+        r = distributed_bfs(cluster, SOURCE)
+        assert np.array_equal(r.levels, single_gpu_levels)
+        _assert_totals_match_charges(r, cluster)
 
 
 class TestWireReduction:
@@ -126,21 +163,53 @@ class TestLinkSensitivity:
         assert r.exchange_seconds == 0.0
 
 
+@pytest.fixture(scope="module")
+def single_gpu_distances(graph, device, weights):
+    backend = CSRBackend(
+        CSRGraph.from_graph(graph), device, weight_bytes=4 * graph.num_edges
+    )
+    return sssp(backend, SOURCE, weights).distances
+
+
 class TestSSSP:
     @pytest.mark.parametrize("wire", ["raw", "bitmap", "varint", "auto"])
-    def test_distances_bit_identical(self, graph, device, weights, wire):
-        ref = sssp(
-            CSRBackend(
-                CSRGraph.from_graph(graph), device,
-                weight_bytes=4 * graph.num_edges,
-            ),
-            SOURCE, weights,
-        ).distances
+    def test_distances_bit_identical(
+        self, graph, device, weights, single_gpu_distances, wire
+    ):
         cluster = ShardedCluster.build(
             graph, NUM_GPUS, device, wire=wire, with_weights=True
         )
         r = distributed_sssp(cluster, SOURCE, weights)
-        assert np.array_equal(r.distances, ref)
+        assert np.array_equal(r.distances, single_gpu_distances)
+
+    def test_partial_sort_is_charged(
+        self, graph, device, weights, single_gpu_distances
+    ):
+        # The Sec. VI-E sort of each frontier shard is a dist_sort launch
+        # reading the frontier, as in distributed BFS.
+        cluster = _layout_cluster(
+            graph, device, "hierarchical", with_weights=True
+        )
+        r = distributed_sssp(cluster, SOURCE, weights)
+        assert np.array_equal(r.distances, single_gpu_distances)
+        sorts = [
+            rec.cost
+            for b in cluster.backends
+            for rec in b.engine.records
+            if rec.name == "dist_sort"
+        ]
+        assert sorts
+        for cost in sorts:
+            assert cost.traffic["work:frontier"].requested_bytes > 0
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_totals_match_recorded_charges(
+        self, graph, device, weights, single_gpu_distances, layout
+    ):
+        cluster = _layout_cluster(graph, device, layout, with_weights=True)
+        r = distributed_sssp(cluster, SOURCE, weights)
+        assert np.array_equal(r.distances, single_gpu_distances)
+        _assert_totals_match_charges(r, cluster)
 
     def test_butterfly_matches_flat(self, graph, device, weights):
         flat = distributed_sssp(
@@ -196,6 +265,12 @@ class TestPageRank:
         )
         # Same folding tree per destination -> identical float results.
         assert np.allclose(flat.ranks, bfly.ranks, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_totals_match_recorded_charges(self, graph, device, layout):
+        cluster = _layout_cluster(graph, device, layout)
+        r = distributed_pagerank(cluster, max_iterations=8)
+        _assert_totals_match_charges(r, cluster)
 
 
 class TestReporting:

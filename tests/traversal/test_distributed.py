@@ -1,14 +1,28 @@
-"""Tests for multi-GPU partitioned BFS."""
+"""Tests for multi-GPU partitioned BFS (:mod:`repro.dist`)."""
 
 import numpy as np
 import pytest
 
-from repro.formats.graph import Graph
-from repro.traversal.distributed import (
+from repro.dist import (
+    LinkTopology,
+    ShardedCluster,
     VertexPartition,
-    multi_gpu_bfs,
+    distributed_bfs,
 )
+from repro.formats.graph import Graph
 from repro.traversal.validate import reference_bfs_levels
+
+
+def sharded_bfs(
+    graph, source, num_gpus, device, partial_sort=True, wire="raw64", **build
+):
+    """Distributed BFS over ``num_gpus`` devices sharing one pipe
+    (contention 1), with device-width ids on the wire by default."""
+    topology = LinkTopology.for_device(device, num_gpus, contention=1.0)
+    cluster = ShardedCluster.build(
+        graph, num_gpus, device, wire=wire, topology=topology, **build
+    )
+    return distributed_bfs(cluster, source, partial_sort=partial_sort)
 
 
 class TestVertexPartition:
@@ -53,26 +67,26 @@ class TestMultiGPUBFS:
         self, small_graph, scaled_device, num_gpus, fmt
     ):
         ref = reference_bfs_levels(small_graph, 3)
-        r = multi_gpu_bfs(small_graph, 3, num_gpus, scaled_device, fmt=fmt)
+        r = sharded_bfs(small_graph, 3, num_gpus, scaled_device, fmt=fmt)
         assert np.array_equal(r.levels, ref)
         assert r.num_gpus == num_gpus
 
     def test_single_gpu_no_exchange(self, small_graph, scaled_device):
-        r = multi_gpu_bfs(small_graph, 0, 1, scaled_device)
+        r = sharded_bfs(small_graph, 0, 1, scaled_device)
         assert r.exchanged_bytes == 0
 
     def test_exchange_happens_with_two(self, small_graph, scaled_device):
-        r = multi_gpu_bfs(small_graph, 0, 2, scaled_device)
+        r = sharded_bfs(small_graph, 0, 2, scaled_device)
         assert r.exchanged_bytes > 0
 
     def test_partial_sort_preserves_levels(self, small_graph, scaled_device):
         # Regression: the old implementation full-sorted the frontier, so
         # switching to the paper's partial sort (65% of the id bits,
         # Sec. VI-E) must not change the traversal outcome.
-        with_sort = multi_gpu_bfs(
+        with_sort = sharded_bfs(
             small_graph, 3, 4, scaled_device, partial_sort=True
         )
-        without = multi_gpu_bfs(
+        without = sharded_bfs(
             small_graph, 3, 4, scaled_device, partial_sort=False
         )
         assert np.array_equal(with_sort.levels, without.levels)
@@ -83,20 +97,20 @@ class TestMultiGPUBFS:
         from repro.dist.wire import FRONTIER_ID_BYTES
 
         assert FRONTIER_ID_BYTES == 8
-        # The default raw64 wire ships device-width ids, so it must cost
-        # more on the wire than explicitly narrowing to int32.
-        wide = multi_gpu_bfs(small_graph, 0, 2, scaled_device, wire="raw64")
-        narrow = multi_gpu_bfs(small_graph, 0, 2, scaled_device, wire="raw")
+        # The raw64 wire ships device-width ids, so it must cost more on
+        # the wire than narrowing to int32.
+        wide = sharded_bfs(small_graph, 0, 2, scaled_device, wire="raw64")
+        narrow = sharded_bfs(small_graph, 0, 2, scaled_device, wire="raw")
         assert wide.exchanged_bytes > narrow.exchanged_bytes
         assert np.array_equal(wide.levels, narrow.levels)
 
     def test_bad_source(self, small_graph, scaled_device):
         with pytest.raises(IndexError):
-            multi_gpu_bfs(small_graph, 10**7, 2, scaled_device)
+            sharded_bfs(small_graph, 10**7, 2, scaled_device)
 
     def test_bad_format(self, small_graph, scaled_device):
         with pytest.raises(ValueError):
-            multi_gpu_bfs(small_graph, 0, 2, scaled_device, fmt="zip")
+            sharded_bfs(small_graph, 0, 2, scaled_device, fmt="zip")
 
     def test_partitioning_brings_csr_in_memory(self, rng):
         # The Intro trade-off: a graph too big for one device fits when
@@ -117,5 +131,5 @@ class TestMultiGPUBFS:
         single = CSRBackend(csr, device)
         assert not single.graph_fits_in_memory()
         t_one = bfs(single, 0).sim_seconds
-        t_two = multi_gpu_bfs(g, 0, 2, device).sim_seconds
+        t_two = sharded_bfs(g, 0, 2, device).sim_seconds
         assert t_two < t_one
